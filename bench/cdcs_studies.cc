@@ -8,10 +8,10 @@
  *   cdcs_studies run fig11 fig12 --set meshWidth=16 --set mixes=8
  *   cdcs_studies run all --format=json
  *
- * `--set key=value` overrides are typed and validated; the CDCS_*
- * environment knobs (EXPERIMENTS.md) remain as defaults. With the
- * default text format and default knobs, `run <study>` output is
- * byte-identical to the legacy per-figure harness it replaced.
+ * `--set key=value` overrides and their CDCS_* environment
+ * counterparts (EXPERIMENTS.md, `cdcs_studies help`) are typed and
+ * validated, together with every study's config, before any job
+ * runs.
  */
 
 #include "sim/study.hh"

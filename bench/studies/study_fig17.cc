@@ -30,7 +30,6 @@ const StudyRegistrar registrar([] {
     spec.lineup = {"cdcs"};
     spec.configure = [](SystemConfig &cfg) {
         cfg.traceIpc = true;
-        cfg.traceBinCycles = envOr("CDCS_TRACE_BIN", 25000);
     };
     spec.run = [](StudyContext &ctx) {
         ctx.header(1);

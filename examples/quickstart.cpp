@@ -52,7 +52,7 @@ main(int argc, char **argv)
                 mix.count, cfg.meshWidth, cfg.meshHeight);
 
     // Both schemes run concurrently on the experiment engine's
-    // work-stealing pool (CDCS_WORKERS=1 forces serial). The lineup
+    // work-stealing pool (Options::workers = 1 forces serial). The lineup
     // comes from the SchemeRegistry — the same names study specs use.
     ExperimentRunner runner;
     const auto results = runner.runSchemes(

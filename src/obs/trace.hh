@@ -1,8 +1,8 @@
 /**
  * @file
- * Execution tracer behind the `--set trace=<file>` study knob
- * (CDCS_TRACE). Emits Chrome trace-event JSON — duration (B/E) spans
- * for ExperimentRunner jobs, profiler phases, and result-store I/O,
+ * Execution tracer behind the `trace=<file>` study knob. Emits
+ * Chrome trace-event JSON — duration (B/E) spans for
+ * ExperimentRunner jobs, profiler phases, and result-store I/O,
  * plus instant events at epoch boundaries — tagged with a stable
  * per-thread track id, loadable in Perfetto or chrome://tracing.
  *

@@ -294,8 +294,8 @@ AccessPath::issueAccess(ThreadId t)
             const TileId old_tile = static_cast<TileId>(
                 mr.invalidateBank / cfg.banksPerTile);
             // Flushes write back via the page-interleaved home
-            // controller, even under numaAwareMem (matches the
-            // legacy accounting).
+            // controller, even under first-touch placement (matches
+            // the legacy accounting).
             noc.addMemTraffic(TrafficClass::Other, old_tile,
                               mesh.memCtrlOf(sample.line),
                               data * flushed);

@@ -2,10 +2,9 @@
  * @file
  * Experiment harness helpers shared by the bench binaries: mix
  * construction, per-scheme runs with identical workload streams,
- * weighted-speedup computation against the S-NUCA baseline, and
- * environment-variable knobs for scaling the (scaled-down) default
- * methodology up or down. Parallel scheme x mix sweeps live in
- * sim/experiment_runner.hh.
+ * weighted-speedup computation against the S-NUCA baseline, and the
+ * scaled-down default methodology of the studies. Parallel scheme x
+ * mix sweeps live in sim/experiment_runner.hh.
  */
 
 #ifndef CDCS_SIM_EXPERIMENT_HH
@@ -88,15 +87,10 @@ std::vector<RunResult> runSchemes(const SystemConfig &cfg,
                                   const std::vector<SchemeSpec> &schemes,
                                   const MixSpec &mix);
 
-/** Integer environment knob with default (e.g., CDCS_MIXES). */
-std::uint64_t envOr(const char *name, std::uint64_t fallback);
-
 /**
- * Default scaled-down methodology configuration for the studies,
- * honoring CDCS_EPOCH_ACCESSES / CDCS_EPOCHS / CDCS_WARMUP
- * environment overrides (see EXPERIMENTS.md). `--set` overrides are
- * applied on top by runStudy (sim/study.hh); mix counts resolve
- * through Overrides::knob.
+ * Default scaled-down methodology configuration for the studies.
+ * runStudy (sim/study.hh) layers the environment, the study's own
+ * tweaks and `--set` overrides on top.
  */
 SystemConfig benchConfig();
 

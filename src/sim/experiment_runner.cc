@@ -10,6 +10,7 @@
 #include "common/profile.hh"
 #include "common/stats.hh"
 #include "obs/trace.hh"
+#include "sim/overrides.hh"
 
 namespace cdcs
 {
@@ -145,45 +146,7 @@ ExperimentRunner::cacheKey(const SystemConfig &cfg,
 {
     std::string key;
     key.reserve(512);
-    // SystemConfig.
-    appendF(key,
-            "cfg:%d,%d,%d,%" PRIu64 ",%u,%" PRIu64 ",%" PRIu64
-            ",%" PRIu64 ",%" PRIu64 ",%u,%u,%d,%.17g,%d,%" PRIu64
-            ",%d,%d,%u,%d,%" PRIu64 ",%d,%" PRIu64 ",%.17g,%.17g|",
-            cfg.meshWidth, cfg.meshHeight, cfg.banksPerTile,
-            cfg.bankLines, cfg.bankWays, cfg.bankLatency,
-            cfg.memLatency, cfg.noc.routerCycles, cfg.noc.linkCycles,
-            cfg.noc.flitBits, cfg.noc.headerBits,
-            cfg.modelMemBandwidth ? 1 : 0, cfg.memLinesPerCycle,
-            cfg.memChannels,
-            cfg.accessesPerThreadEpoch, cfg.epochs, cfg.warmupEpochs,
-            cfg.chunkAccesses, cfg.traceIpc ? 1 : 0,
-            cfg.traceBinCycles, static_cast<int>(cfg.moveCfg.moves),
-            cfg.seed, cfg.allocGranuleLines, cfg.monitorSmoothing);
-    appendF(key,
-            "mv:%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%.17g|",
-            cfg.moveCfg.walkCyclesPerSet, cfg.moveCfg.walkDelay,
-            cfg.moveCfg.bulkCyclesPerSet, cfg.moveCfg.allocHysteresis);
-    appendF(key, "noc:%s,%.17g,%.17g|", cfg.nocModel.c_str(),
-            cfg.nocInjScale, cfg.nocMaxUtil);
-    appendF(key, "pcost:%s|", cfg.placementCost.c_str());
-    // The effective policy, so the numaAwareMem alias and an explicit
-    // first-touch share entries.
-    appendF(key, "memp:%s|", cfg.effectiveMemPlacement().c_str());
-    // Far-memory tier (all-defaults keeps a stable section, like
-    // traf: below).
-    appendF(key, "tier:%.17g,%" PRIu64 ",%d,%.17g,%s|",
-            cfg.farMemRatio, cfg.farMemLatency, cfg.farMemChannels,
-            cfg.farMemLinesPerCycle, cfg.memTiering.c_str());
-    // Dynamic traffic (all-defaults keeps a stable section, so the
-    // static studies' keys still differ only where behavior does).
-    appendF(key,
-            "traf:%.17g,%.17g,%" PRIu64 ",%" PRIu64 ",%d,%d,%.17g,"
-            "%s|",
-            cfg.skewAlpha, cfg.skewFraction, cfg.skewLines,
-            cfg.skewHotLines, cfg.skewPageHot ? 1 : 0,
-            cfg.skewDriftEpochs, cfg.skewDriftFraction,
-            cfg.churn.c_str());
+    appendConfigKey(key, cfg);
     // SchemeSpec (name excluded: it is a label, not behavior).
     appendF(key,
             "spec:%d,%d,%d,%d,%u,%u,%u,%d,%d,%d,%d,%d,%.17g,%.17g,"

@@ -10,7 +10,7 @@
  * SchemeSpec, MixSpec) — all RNG streams are derived from the config
  * and mix seeds, never from scheduling order — and aggregation
  * iterates results in a fixed order, so a sweep produces bit-identical
- * output whether it runs serially (CDCS_WORKERS=1) or on all cores.
+ * output whether it runs serially (`workers=1`) or on all cores.
  */
 
 #ifndef CDCS_SIM_EXPERIMENT_RUNNER_HH
@@ -71,9 +71,9 @@ class ExperimentRunner
     struct Options
     {
         /**
-         * Worker threads; 0 honors CDCS_WORKERS and falls back to the
-         * hardware thread count. 1 forces serial in-order execution
-         * (the determinism-check mode).
+         * Worker threads; 0 means the hardware thread count (the
+         * studies resolve it from the `workers` knob). 1 forces serial
+         * in-order execution (the determinism-check mode).
          */
         unsigned workers = 0;
 
@@ -95,10 +95,10 @@ class ExperimentRunner
 
         /**
          * Persistent cache tier: directory of the on-disk result
-         * store shared across processes (`--set cacheDir=` /
-         * CDCS_CACHE_DIR). Empty disables the tier. Cacheable runs
-         * missing in memory are looked up here before simulating,
-         * and every simulated cacheable run is written back.
+         * store shared across processes (the `cacheDir` knob).
+         * Empty disables the tier. Cacheable runs missing in memory
+         * are looked up here before simulating, and every simulated
+         * cacheable run is written back.
          */
         std::string cacheDir;
 

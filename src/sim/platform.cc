@@ -32,7 +32,7 @@ Platform::Platform(const SystemConfig &cfg, const SchemeSpec &spec,
         cfg.noc.routerCycles + cfg.noc.linkCycles);
     mem_params.smoothing = cfg.monitorSmoothing;
     memPlacement = MemPlacementRegistry::instance().build(
-        cfg.effectiveMemPlacement(), mesh, mem_params);
+        cfg.memPlacement, mesh, mem_params);
 
     if (cfg.hasFarTier()) {
         // Overrides::add validates these, but programmatic configs

@@ -789,7 +789,7 @@ writeStudyHeader(ReportSink &sink, const char *title,
 {
     sink.printf("== %s (%s) ==\n", title, paper_ref);
     // Worker count deliberately not printed: output is identical for
-    // any CDCS_WORKERS, and byte-identical logs should diff clean.
+    // any worker count, and byte-identical logs should diff clean.
     sink.printf("mesh %dx%d, %d banks/tile, %llu-line banks, "
                 "%llu accesses/thread/epoch, %d epochs (%d warmup), "
                 "%d mixes, seed base 1000\n\n",

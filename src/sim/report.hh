@@ -65,7 +65,7 @@ NocHeatmap makeNocHeatmap(int width, int height, const RunResult &run);
 
 /**
  * Per-study wall time and phase breakdown, gathered from the phase
- * profiler (`--set timing=1` / CDCS_TIMING). Phase times are summed
+ * profiler (the `timing` knob). Phase times are summed
  * across worker threads, so their total can exceed the wall time on
  * parallel runs; nocQuerySec nests inside accessSec.
  */
@@ -174,8 +174,7 @@ class ReportSink
  * Text rendering to a FILE*, byte-identical to the legacy benches.
  * When `json_dir` is non-empty, structured artifacts additionally
  * land there as <name>.json files with a "[json: path]" marker line
- * (the old CDCS_JSON_DIR behavior, now covering traces and chip maps
- * too).
+ * (the `jsonDir` knob, covering sweeps, traces and chip maps).
  */
 class TextReportSink : public ReportSink
 {

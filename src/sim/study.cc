@@ -22,10 +22,9 @@ StudyContext::lineup() const
 }
 
 std::uint64_t
-StudyContext::knob(const char *key, const char *env,
-                   std::uint64_t fallback) const
+StudyContext::knob(const char *key, std::uint64_t fallback) const
 {
-    return overrides.knob(key, env, fallback);
+    return overrides.knob(key, fallback);
 }
 
 void
@@ -78,39 +77,49 @@ ExperimentRunner::Options
 runnerOptions(const Overrides &overrides, bool default_cache)
 {
     ExperimentRunner::Options opts;
-    opts.workers = static_cast<unsigned>(
-        overrides.knob("workers", "CDCS_WORKERS", 0));
-    opts.cacheDir =
-        overrides.strKnob("cacheDir", "CDCS_CACHE_DIR", "");
+    opts.workers = static_cast<unsigned>(overrides.knob("workers", 0));
+    opts.cacheDir = overrides.strKnob("cacheDir", "");
     // A persistent store is only useful when runs go through the
     // cache, so cacheDir= implies cache=1 (an explicit --set cache=0
     // still wins).
-    opts.cacheResults =
-        overrides.knob("cache", "CDCS_CACHE",
-                       default_cache || !opts.cacheDir.empty()
-                           ? 1 : 0) != 0;
-    opts.cacheBudget = static_cast<std::size_t>(
-        overrides.knob("cacheBudget", "CDCS_CACHE_BUDGET", 1024));
+    const bool cache_on = default_cache || !opts.cacheDir.empty();
+    opts.cacheResults = overrides.knob("cache", cache_on ? 1 : 0) != 0;
+    opts.cacheBudget =
+        static_cast<std::size_t>(overrides.knob("cacheBudget", 1024));
     return opts;
+}
+
+bool
+studyConfig(const StudySpec &spec, const Overrides &overrides,
+            SystemConfig *cfg, std::string *err)
+{
+    *cfg = benchConfig();
+    overrides.applyEnv(*cfg);
+    if (spec.configure)
+        spec.configure(*cfg);
+    overrides.apply(*cfg);
+    if (validate(*cfg, err))
+        return true;
+    *err = spec.name + ": " + *err;
+    return false;
 }
 
 int
 runStudy(const StudySpec &spec, const Overrides &overrides,
          ExperimentRunner &runner, ReportSink &sink)
 {
-    // Precedence: defaults < CDCS_* env < spec.configure < --set.
-    SystemConfig cfg = benchConfig();
-    if (spec.configure)
-        spec.configure(cfg);
-    overrides.apply(cfg);
+    SystemConfig cfg;
+    std::string err;
+    if (!studyConfig(spec, overrides, &cfg, &err)) {
+        std::fprintf(stderr, "%s\n", err.c_str());
+        return 2;
+    }
     const int mixes = static_cast<int>(overrides.knob(
-        "mixes", "CDCS_MIXES",
-        static_cast<std::uint64_t>(spec.defaultMixes)));
+        "mixes", static_cast<std::uint64_t>(spec.defaultMixes)));
 
     StudyContext ctx(spec, cfg, mixes, runner, sink, overrides);
     const ExperimentRunner::CacheStats before = runner.cacheStats();
-    const bool timing_on =
-        overrides.knob("timing", "CDCS_TIMING", 0) != 0;
+    const bool timing_on = overrides.knob("timing", 0) != 0;
     if (timing_on)
         Profiler::setEnabled(true);
     // Turn counting on before any run starts; each run resolves its
@@ -162,8 +171,7 @@ runStudy(const StudySpec &spec, const Overrides &overrides,
             (now.storeCorrupt - before.storeCorrupt) +
             (now.shardSkipped - before.shardSkipped);
         if (now.persistent && delta > 0 &&
-            overrides.knob("cacheStats", "CDCS_CACHE_STATS", 1) !=
-                0) {
+            overrides.knob("cacheStats", 1) != 0) {
             sink.printf(
                 "[store: %llu hits, %llu misses, %llu evictions, "
                 "%llu corrupt, %llu skipped]\n",
@@ -205,28 +213,21 @@ runStudy(const StudySpec &spec, const Overrides &overrides,
     return 0;
 }
 
-int
-studyMain(const char *name)
+bool
+parseShard(const std::string &text, int *index, int *count)
 {
-    const StudySpec *spec = StudyRegistry::instance().find(name);
-    if (spec == nullptr) {
-        std::fprintf(stderr, "unknown study '%s'\n", name);
-        return 1;
-    }
-    const Overrides none;
-    ExperimentRunner runner(
-        runnerOptions(none, spec->repeatedLineup));
-    TextReportSink sink(
-        stdout, none.strKnob("jsonDir", "CDCS_JSON_DIR", ""));
-    const std::string trace_path =
-        none.strKnob("trace", "CDCS_TRACE", "");
-    if (!trace_path.empty())
-        Tracer::open(trace_path);
-    int rc = runStudy(*spec, none, runner, sink);
-    sink.finish();
-    if (!Tracer::close())
-        rc |= 1;
-    return rc;
+    const auto number = [](const std::string &digits, int *out) {
+        if (digits.empty() || digits.size() > 9 ||
+            digits.find_first_not_of("0123456789") != std::string::npos)
+            return false;
+        *out = std::stoi(digits);
+        return true;
+    };
+    const std::size_t slash = text.find('/');
+    return slash != std::string::npos &&
+        number(text.substr(0, slash), index) &&
+        number(text.substr(slash + 1), count) && *count >= 1 &&
+        *index < *count;
 }
 
 namespace
@@ -245,8 +246,8 @@ usage(std::FILE *out)
         "  run <study>...|all [--set key=value]... "
         "[--format=text|json|csv]\n"
         "      [--shard i/N]\n"
-        "      run studies; text output is byte-identical to the\n"
-        "      legacy bench harnesses under default knobs.\n"
+        "      run studies; every knob and study config is checked\n"
+        "      before the first job starts.\n"
         "      --shard i/N simulates only the cells whose content\n"
         "      hash maps to shard i (requires cacheDir; the shard's\n"
         "      own report is partial — use merge) and writes\n"
@@ -257,9 +258,17 @@ usage(std::FILE *out)
         "      populated result store (requires cacheDir); output is\n"
         "      byte-identical to an unsharded run\n"
         "\n"
-        "overrides (--set, also settable via CDCS_* env knobs):\n");
-    for (const auto &[key, type] : Overrides::knownKeys())
-        std::fprintf(out, "  %-20s %s\n", key.c_str(), type.c_str());
+        "knobs (--set key=value; a [CDCS_*] variable sets the same\n"
+        "knob from the environment, below --set):\n");
+    for (const Knob &k : knobTable()) {
+        if (k.name == nullptr)
+            continue;
+        std::fprintf(out, "  %-20s %-6s %s", k.name,
+                     knobTypeName(k.type), k.doc);
+        if (k.env != nullptr)
+            std::fprintf(out, " [%s]", k.env);
+        std::fputc('\n', out);
+    }
     return out == stderr ? 2 : 0;
 }
 
@@ -321,11 +330,7 @@ studiesCliMain(int argc, char **argv)
     int shard_count = 1;
     bool sharded = false;
     const auto parse_shard = [&](const std::string &val) {
-        char extra = '\0';
-        if (std::sscanf(val.c_str(), "%d/%d%c", &shard_index,
-                        &shard_count, &extra) != 2 ||
-            shard_count < 1 || shard_index < 0 ||
-            shard_index >= shard_count) {
+        if (!parseShard(val, &shard_index, &shard_count)) {
             std::fprintf(stderr,
                          "bad --shard '%s' (expected i/N with "
                          "0 <= i < N)\n",
@@ -413,8 +418,21 @@ studiesCliMain(int argc, char **argv)
         }
     }
 
-    const std::string json_dir =
-        overrides.strKnob("jsonDir", "CDCS_JSON_DIR", "");
+    // Every knob and every study config is checked before any job.
+    std::string err;
+    if (!overrides.loadEnv(&err)) {
+        std::fprintf(stderr, "%s\n", err.c_str());
+        return 2;
+    }
+    for (const StudySpec *spec : specs) {
+        SystemConfig cfg;
+        if (!studyConfig(*spec, overrides, &cfg, &err)) {
+            std::fprintf(stderr, "%s\n", err.c_str());
+            return 2;
+        }
+    }
+
+    const std::string json_dir = overrides.strKnob("jsonDir", "");
     std::unique_ptr<ReportSink> sink;
     if (format == "text") {
         sink = std::make_unique<TextReportSink>(stdout, json_dir);
@@ -438,7 +456,7 @@ studiesCliMain(int argc, char **argv)
         if (ropts.cacheDir.empty()) {
             std::fprintf(stderr,
                          "%s requires a result store: --set "
-                         "cacheDir=DIR (or CDCS_CACHE_DIR)\n",
+                         "cacheDir=DIR\n",
                          merge ? "merge" : "--shard");
             return 2;
         }
@@ -455,8 +473,7 @@ studiesCliMain(int argc, char **argv)
         }
     }
     ExperimentRunner runner(ropts);
-    const std::string trace_path =
-        overrides.strKnob("trace", "CDCS_TRACE", "");
+    const std::string trace_path = overrides.strKnob("trace", "");
     if (!trace_path.empty())
         Tracer::open(trace_path);
     int rc = 0;

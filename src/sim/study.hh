@@ -41,7 +41,7 @@ struct StudySpec
     std::string paperRef;
     /** "figure", "table" or "ablation". */
     std::string category = "figure";
-    /** CDCS_MIXES / `--set mixes=` fallback. */
+    /** Fallback of the `mixes` knob. */
     int defaultMixes = 4;
     /**
      * Declares that the study re-runs its lineup several times
@@ -60,8 +60,8 @@ struct StudySpec
      */
     std::vector<std::string> lineup;
     /**
-     * Static config tweaks applied after the CDCS_* env defaults and
-     * before `--set` overrides (e.g. Table 1's 6x6 mesh).
+     * Static config tweaks applied after the environment and before
+     * `--set` overrides (e.g. Table 1's 6x6 mesh).
      */
     std::function<void(SystemConfig &)> configure;
     /** The study body. */
@@ -82,16 +82,15 @@ class StudyContext
 
     const StudySpec &spec;
     SystemConfig cfg;   ///< Defaults < env < configure < --set.
-    int mixes;          ///< defaultMixes < CDCS_MIXES < --set mixes.
+    int mixes;          ///< defaultMixes < env < --set mixes.
     ExperimentRunner &runner;
     ReportSink &sink;
 
     /** Build spec.lineup through the SchemeRegistry. */
     std::vector<SchemeSpec> lineup() const;
 
-    /** Study-specific knob: `--set key=` < `env` < fallback. */
-    std::uint64_t knob(const char *key, const char *env,
-                       std::uint64_t fallback) const;
+    /** Study-specific knob (Overrides::knob). */
+    std::uint64_t knob(const char *key, std::uint64_t fallback) const;
 
     /** The standard reproducibility header. */
     void header() const { header(mixes); }
@@ -126,29 +125,32 @@ struct StudyRegistrar
 };
 
 /**
- * Runner options resolved from overrides/env: workers, result-cache
- * opt-in (`--set cache=1` / CDCS_CACHE) and budget. `default_cache`
- * is the fallback when neither `--set cache` nor CDCS_CACHE is given
- * (true when any study of the batch declares a repeated lineup).
+ * Runner options resolved from the knobs: workers, result-cache
+ * opt-in (`cache`) and budget. `default_cache` is the fallback when
+ * the `cache` knob is unset (true when any study of the batch
+ * declares a repeated lineup).
  */
 ExperimentRunner::Options
 runnerOptions(const Overrides &overrides, bool default_cache = false);
 
 /**
- * Run one study: resolve its config (defaults < CDCS_* env <
- * spec.configure < overrides) and mix count, run the body, and emit
- * the cache footer when the result cache is enabled. Returns 0 on
- * success.
+ * Resolve a study's config (benchConfig() < environment <
+ * spec.configure < `--set`) and validate() it. Returns false with a
+ * one-line message in `*err`.
+ */
+bool studyConfig(const StudySpec &spec, const Overrides &overrides,
+                 SystemConfig *cfg, std::string *err);
+
+/**
+ * Run one study: resolve its config and mix count, run the body, and
+ * emit the cache footer when the result cache is enabled. Returns 0
+ * on success, 2 (with a message on stderr) for an invalid config.
  */
 int runStudy(const StudySpec &spec, const Overrides &overrides,
              ExperimentRunner &runner, ReportSink &sink);
 
-/**
- * Body of the thin per-figure executables: run one registered study
- * with env knobs only and text output on stdout — byte-identical to
- * the legacy hand-written harness it replaced.
- */
-int studyMain(const char *name);
+/** Parse `--shard i/N` (0 <= i < N). */
+bool parseShard(const std::string &text, int *index, int *count);
 
 /** The `cdcs_studies` CLI (list / run, --set, --format). */
 int studiesCliMain(int argc, char **argv);

@@ -1,6 +1,9 @@
 #include "workload/traffic.hh"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
 
 #include "common/log.hh"
@@ -88,14 +91,22 @@ TrafficSchedule::parseChurn(const std::string &spec,
         const char sign = item[colon + 1];
         if (sign != '+' && sign != '-')
             return fail("count in '" + item + "' needs a +/- sign");
+        // Digits only, and small enough for an int.
+        const auto number = [](const char *text, char **end) {
+            errno = 0;
+            const long long n = std::isdigit(
+                static_cast<unsigned char>(*text))
+                ? std::strtoll(text, end, 10)
+                : 0;
+            return errno == 0 && n <= INT_MAX ? n : 0;
+        };
         char *end = nullptr;
-        const long long epoch =
-            std::strtoll(item.c_str(), &end, 10);
-        if (end != item.c_str() + colon || epoch < 1)
+        const long long epoch = number(item.c_str(), &end);
+        if (epoch < 1 || end != item.c_str() + colon)
             return fail("epoch in '" + item + "' must be >= 1");
         const char *count_str = item.c_str() + colon + 2;
-        const long long count = std::strtoll(count_str, &end, 10);
-        if (*count_str == '\0' || *end != '\0' || count < 1)
+        const long long count = number(count_str, &end);
+        if (count < 1 || *end != '\0')
             return fail("count in '" + item + "' must be >= 1");
         parsed.push_back({static_cast<int>(epoch),
                           sign == '-' ? -static_cast<int>(count)

@@ -2,9 +2,9 @@
  * @file
  * Tests for the pluggable memory placement layer: registry
  * round-trip and rejection, interleave parity with the legacy page
- * hash, first-touch identity with the legacy numaAwareMem runs, the
- * M/D/m memory queue's monotonicity in the channel count, and the
- * contention policy steering hot pages off a saturated controller.
+ * hash, first-touch pinning, the M/D/m memory queue's monotonicity in
+ * the channel count, and the contention policy steering hot pages
+ * off a saturated controller.
  */
 
 #include <gtest/gtest.h>
@@ -79,57 +79,6 @@ TEST(MemPlacementTest, FirstTouchPinsToFirstToucherNearestCtrl)
     // Later touches from elsewhere (even other lines of the page)
     // keep the pin.
     EXPECT_EQ(policy.controllerFor(far_corner, line + 3), first);
-}
-
-TEST(MemPlacementTest, NumaAwareMemAliasesFirstTouch)
-{
-    SystemConfig cfg;
-    EXPECT_EQ(cfg.effectiveMemPlacement(), "interleave");
-    cfg.numaAwareMem = true;
-    EXPECT_EQ(cfg.effectiveMemPlacement(), "first-touch");
-    // An explicit policy wins over the legacy alias.
-    cfg.memPlacement = "contention";
-    EXPECT_EQ(cfg.effectiveMemPlacement(), "contention");
-}
-
-/** Fields that must agree between two runs byte-for-byte. */
-void
-expectRunsIdentical(const RunResult &a, const RunResult &b)
-{
-    EXPECT_EQ(a.totalInstrs, b.totalInstrs);
-    EXPECT_EQ(a.wallCycles, b.wallCycles);
-    EXPECT_EQ(a.llcAccesses, b.llcAccesses);
-    EXPECT_EQ(a.llcHits, b.llcHits);
-    EXPECT_EQ(a.memAccesses, b.memAccesses);
-    EXPECT_EQ(a.onChipLatSum, b.onChipLatSum);
-    EXPECT_EQ(a.offChipLatSum, b.offChipLatSum);
-    for (std::size_t c = 0; c < a.trafficFlitHops.size(); c++)
-        EXPECT_EQ(a.trafficFlitHops[c], b.trafficFlitHops[c]);
-    ASSERT_EQ(a.threadCycles.size(), b.threadCycles.size());
-    for (std::size_t t = 0; t < a.threadCycles.size(); t++)
-        EXPECT_EQ(a.threadCycles[t], b.threadCycles[t]);
-}
-
-TEST(MemPlacementTest, FirstTouchIdenticalToLegacyNumaAwareMem)
-{
-    // The first-touch policy absorbs numaAwareMem: a run naming the
-    // policy must be bit-identical to a run using the legacy flag.
-    SystemConfig numa;
-    numa.meshWidth = 6;
-    numa.meshHeight = 6;
-    numa.accessesPerThreadEpoch = 5000;
-    numa.epochs = 4;
-    numa.warmupEpochs = 2;
-    numa.numaAwareMem = true;
-    SystemConfig named = numa;
-    named.numaAwareMem = false;
-    named.memPlacement = "first-touch";
-
-    const MixSpec mix = MixSpec::cpu(8, 37);
-    expectRunsIdentical(runScheme(numa, SchemeSpec::cdcs(), mix),
-                        runScheme(named, SchemeSpec::cdcs(), mix));
-    expectRunsIdentical(runScheme(numa, SchemeSpec::rnuca(), mix),
-                        runScheme(named, SchemeSpec::rnuca(), mix));
 }
 
 TEST(MemQueueTest, MatchesMd1AtOneChannel)

@@ -1,9 +1,9 @@
 /**
  * @file
- * Doc-sync lint: every `--set` key the Overrides parser recognizes
- * must be documented in EXPERIMENTS.md (as `key` in backticks), so
- * new knobs cannot land without their docs. Built with
- * CDCS_REPO_ROOT pointing at the source tree.
+ * Doc-sync lint: every `--set` key and CDCS_* variable of the knob
+ * table must be documented in EXPERIMENTS.md (in backticks), so new
+ * knobs cannot land without their docs. Built with CDCS_REPO_ROOT
+ * pointing at the source tree.
  */
 
 #include <cstdio>
@@ -37,28 +37,21 @@ readFile(const std::string &path)
     return out;
 }
 
-TEST(DocSyncTest, EveryOverrideKeyDocumentedInExperimentsMd)
+TEST(DocSyncTest, EveryKnobDocumentedInExperimentsMd)
 {
     const std::string doc =
         readFile(std::string(CDCS_REPO_ROOT) + "/EXPERIMENTS.md");
     ASSERT_FALSE(doc.empty())
         << "EXPERIMENTS.md not found under " << CDCS_REPO_ROOT;
-    for (const auto &[key, type] : Overrides::knownKeys()) {
-        EXPECT_NE(doc.find("`" + key + "`"), std::string::npos)
-            << "--set key '" << key << "' (" << type
-            << ") is missing from EXPERIMENTS.md";
-    }
-}
-
-TEST(DocSyncTest, KnownKeysAreUniqueAndTyped)
-{
-    const auto keys = Overrides::knownKeys();
-    ASSERT_FALSE(keys.empty());
-    for (std::size_t i = 0; i < keys.size(); i++) {
-        EXPECT_FALSE(keys[i].first.empty());
-        EXPECT_FALSE(keys[i].second.empty()) << keys[i].first;
-        for (std::size_t j = i + 1; j < keys.size(); j++)
-            EXPECT_NE(keys[i].first, keys[j].first);
+    for (const Knob &k : knobTable()) {
+        for (const char *name : {k.name, k.env}) {
+            if (name != nullptr) {
+                EXPECT_NE(doc.find("`" + std::string(name) + "`"),
+                          std::string::npos)
+                    << "knob '" << name
+                    << "' is missing from EXPERIMENTS.md";
+            }
+        }
     }
 }
 

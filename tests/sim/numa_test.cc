@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the NUMA-aware memory placement extension (the future
- * work Sec. III defers; enabled with SystemConfig::numaAwareMem):
+ * work Sec. III defers; memPlacement = "first-touch"):
  * first-touch pages are served by the controller nearest the
  * touching thread, cutting LLC-to-memory network distance.
  */
@@ -49,7 +49,7 @@ TEST(NumaTest, NumaAwareReducesMemNetworkLatency)
     base.epochs = 4;
     base.warmupEpochs = 2;
     SystemConfig numa = base;
-    numa.numaAwareMem = true;
+    numa.memPlacement = "first-touch";
 
     const MixSpec mix = MixSpec::named(
         {"milc", "milc", "milc", "milc"}, 33);
@@ -76,7 +76,7 @@ TEST(NumaTest, ComposesWithCdcs)
     base.epochs = 4;
     base.warmupEpochs = 2;
     SystemConfig numa = base;
-    numa.numaAwareMem = true;
+    numa.memPlacement = "first-touch";
 
     const MixSpec mix = MixSpec::cpu(8, 37);
     const RunResult a = runScheme(base, SchemeSpec::cdcs(), mix);

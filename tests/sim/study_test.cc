@@ -9,6 +9,8 @@
  * well-formed summaries.
  */
 
+#include <cstdlib>
+
 #include <gtest/gtest.h>
 
 #include "common/stats.hh"
@@ -99,7 +101,7 @@ TEST(StudyRegistryTest, SpecsCarryCategoryAndLineup)
 
 TEST(StudyTest, Fig11MatchesLegacyHarnessByteForByte)
 {
-    // The legacy bench_fig11_64app main(), transcribed: same
+    // The pre-study fig11 harness main(), transcribed: same
     // seeds, lineup, section structure and printf formats.
     Overrides ov = tinyOverrides();
     SystemConfig cfg;
@@ -279,6 +281,56 @@ TEST(StudyTest, RepeatedLineupStudiesEnableTheCacheByDefault)
     std::string err;
     ASSERT_TRUE(off.add("cache=0", &err)) << err;
     EXPECT_FALSE(runnerOptions(off, true).cacheResults);
+}
+
+TEST(StudyTest, EnvironmentAndSetResolveToTheSameRun)
+{
+    // The CDCS_* column of the knob table feeds the same config as
+    // `--set`: a run driven by the environment matches byte for byte.
+    for (const auto &[name, value] :
+         std::vector<std::pair<const char *, const char *>>{
+             {"CDCS_EPOCH_ACCESSES", "600"},
+             {"CDCS_EPOCHS", "2"},
+             {"CDCS_WARMUP", "1"},
+             {"CDCS_MIXES", "1"}})
+        ::setenv(name, value, 1);
+    Overrides env;
+    std::string err;
+    const bool ok = env.loadEnv(&err) &&
+        env.add("chunkAccesses=1000", &err) && env.add("seed=42", &err);
+    for (const char *name : {"CDCS_EPOCH_ACCESSES", "CDCS_EPOCHS",
+                             "CDCS_WARMUP", "CDCS_MIXES"})
+        ::unsetenv(name);
+    ASSERT_TRUE(ok) << err;
+    EXPECT_EQ(runFig11(env), runFig11(tinyOverrides()));
+}
+
+/** Run the CLI with `args`; returns its exit status. */
+int
+cli(std::vector<std::string> args)
+{
+    args.insert(args.begin(), "cdcs_studies");
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    return studiesCliMain(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(StudyCliTest, InvalidConfigsExitBeforeAnyJob)
+{
+    // Each would otherwise abort mid-run or report cold-start
+    // numbers; all are rejected up front with exit status 2.
+    EXPECT_EQ(cli({"run", "fig11", "--set", "bankLines=1000"}), 2);
+    EXPECT_EQ(cli({"run", "all", "--set", "epochs=2", "--set",
+                   "warmup=4"}),
+              2);
+    ::setenv("CDCS_EPOCHS", "abc", 1);
+    EXPECT_EQ(cli({"run", "fig11"}), 2);
+    ::unsetenv("CDCS_EPOCHS");
+    ::setenv("CDCS_MIXES", "-1", 1);
+    EXPECT_EQ(cli({"run", "fig11"}), 2);
+    ::unsetenv("CDCS_MIXES");
+    EXPECT_EQ(cli({"run", "fig11", "--shard", "3/2"}), 2);
 }
 
 std::string

@@ -1,27 +1,19 @@
-// Fixture: override tables including a key for the unkeyed fooKnob
-// and a study knob (mystery) with no allowlist rationale.
-#include "sim/overrides.hh"
+// Fixture: a knob table missing two SystemConfig fields. The
+// commented-out rows must not count as coverage.
+#include "sim/system_config.hh"
 
 namespace cdcs
 {
-namespace
-{
 
-const KeyDef configKeys[] = {
-    {"meshWidth", "int",
-     [](SystemConfig &c, const Override &v) {
-         c.meshWidth = static_cast<int>(v.i);
-     }},
-    {"fooKnob", "double",
-     [](SystemConfig &c, const Override &v) { c.fooKnob = v.d; }},
-    {"seed", "uint",
-     [](SystemConfig &c, const Override &v) { c.seed = v.u; }},
+constexpr Knob kKnobs[] = {
+    {.name = "meshWidth", CDCS_FIELD(meshWidth), .doc = "Width."},
+    {.name = "routerCycles", CDCS_FIELD(noc.routerCycles),
+     .doc = "Router cycles."},
+    // {CDCS_FIELD(noc.flitBits), .doc = "Flit width."},
+    {CDCS_FIELD(moves), .unkeyed = "set by the scheme", .doc = "Moves."},
+    {.name = "memPlacement", CDCS_FIELD(memPlacement),
+     .doc = "Placement."},
+    /* {.name = "fooKnob", CDCS_FIELD(fooKnob)}, */
 };
 
-const KeyDef knobKeys[] = {
-    {"workers", "uint", nullptr},
-    {"mystery", "uint", nullptr},
-};
-
-} // anonymous namespace
 } // namespace cdcs

@@ -1,27 +1,18 @@
-// Fixture: override tables matching the clean cacheKey.
-#include "sim/overrides.hh"
+// Fixture: a knob table with a row for every SystemConfig field.
+#include "sim/system_config.hh"
 
 namespace cdcs
 {
-namespace
-{
 
-const KeyDef configKeys[] = {
-    {"meshWidth", "int",
-     [](SystemConfig &c, const Override &v) {
-         c.meshWidth = static_cast<int>(v.i);
-     }},
-    {"seed", "uint",
-     [](SystemConfig &c, const Override &v) { c.seed = v.u; }},
-    {"stats", "string",
-     [](SystemConfig &c, const Override &v) {
-         c.statsFilter = v.value;
-     }},
+constexpr Knob kKnobs[] = {
+    {.name = "meshWidth", CDCS_FIELD(meshWidth), .doc = "Width."},
+    {.name = "routerCycles", CDCS_FIELD(noc.routerCycles),
+     .doc = "Router cycles."},
+    {CDCS_FIELD(noc.flitBits), .doc = "Flit width."},
+    {CDCS_FIELD(moves), .unkeyed = "set by the scheme", .doc = "Moves."},
+    {.name = "memPlacement", CDCS_FIELD(memPlacement),
+     .doc = "Placement."},
+    {.name = "mixes", .unkeyed = "study knob", .doc = "Mixes."},
 };
 
-const KeyDef knobKeys[] = {
-    {"workers", "uint", nullptr},
-};
-
-} // anonymous namespace
 } // namespace cdcs

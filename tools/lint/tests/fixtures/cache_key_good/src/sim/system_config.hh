@@ -1,4 +1,5 @@
-// Fixture: fully accounted-for SystemConfig (clean run).
+// Fixture: a SystemConfig with a nested config struct, an enum field
+// and a method, every field covered by a knob-table row.
 #ifndef FIXTURE_SYSTEM_CONFIG_HH
 #define FIXTURE_SYSTEM_CONFIG_HH
 
@@ -8,23 +9,29 @@
 namespace cdcs
 {
 
+enum class MoveScheme : std::uint8_t
+{
+    Instant,
+    Background
+};
+
+struct NocConfig
+{
+    std::uint64_t routerCycles = 3;
+    std::uint32_t flitBits = 128;
+};
+
 struct SystemConfig
 {
     int meshWidth = 8;
-    std::uint64_t seed = 42;
-
-    /** Reporting-only; allowlisted. */
-    std::string statsFilter;
-
-    bool numaAwareMem = false;
+    NocConfig noc;
+    MoveScheme moves = MoveScheme::Background;
     std::string memPlacement = "interleave";
 
-    std::string
-    effectiveMemPlacement() const
+    std::uint64_t
+    llcLines() const
     {
-        if (memPlacement == "interleave" && numaAwareMem)
-            return "first-touch";
-        return memPlacement;
+        return static_cast<std::uint64_t>(meshWidth);
     }
 };
 

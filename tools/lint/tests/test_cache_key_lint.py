@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Fixture tests for tools/lint/cache_key_lint.py.
 
-Negative coverage: a mini repo tree with a seeded unkeyed behavior
-knob, a knob with no rationale, and three flavors of stale allowlist
-entry must each produce a finding. Positive coverage: a clean fixture
-tree and the real repository must both pass.
+Negative coverage: a mini repo tree whose knob table misses a plain
+field and a nested-struct field (with commented-out rows that must
+not count) must report both. Positive coverage: a clean fixture tree
+and the real repository must both pass.
 """
 
 import os
@@ -26,29 +26,22 @@ def run_lint(repo):
 
 class CacheKeyLintTest(unittest.TestCase):
 
-    def test_seeded_violations_all_reported(self):
+    def test_missing_rows_all_reported(self):
         res = run_lint(os.path.join(FIXTURES, "cache_key_bad"))
         self.assertEqual(res.returncode, 1, res.stdout + res.stderr)
         out = res.stdout
-        # The unkeyed behavior knob, both as a field and through its
-        # override key.
-        self.assertIn("field 'fooKnob' is not in", out)
-        self.assertIn("override key 'fooKnob' sets cfg.fooKnob", out)
-        # The knob with no written rationale.
-        self.assertIn("study knob 'mystery' has no knob:mystery", out)
-        # Stale allowlist entries, all three flavors.
-        self.assertIn("stale allowlist entry 'seed'", out)
-        self.assertIn("stale allowlist entry 'ghostField'", out)
-        self.assertIn("cacheKey never calls cfg.effectiveMemPlacement()",
-                      out)
-        # No false positives on the keyed fields.
+        self.assertIn("field 'fooKnob' has no", out)
+        self.assertIn("field 'noc.flitBits' has no", out)
+        # No false positives on covered fields, nested or enum.
         self.assertNotIn("'meshWidth'", out)
+        self.assertNotIn("'noc.routerCycles'", out)
+        self.assertNotIn("'moves'", out)
 
     def test_clean_fixture_passes(self):
         res = run_lint(os.path.join(FIXTURES, "cache_key_good"))
         self.assertEqual(res.returncode, 0, res.stdout + res.stderr)
 
-    def test_missing_allowlist_is_an_error(self):
+    def test_missing_sources_are_a_parse_error(self):
         res = run_lint(os.path.join(FIXTURES, "determinism_bad"))
         self.assertEqual(res.returncode, 2, res.stdout + res.stderr)
 
