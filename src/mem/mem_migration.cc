@@ -30,20 +30,10 @@ recordPageMigration(NocModel &noc, const Mesh &topo, int src_ctrl,
     const std::uint32_t page_flits =
         linesPerPage * topo.config().dataFlits();
     const TileId dst_tile = topo.memCtrlTile(dst_ctrl);
-    if (src_tier == MemTier::Near) {
-        noc.addMemResponse(TrafficClass::Other, src_ctrl, dst_tile,
-                           page_flits);
-    } else {
-        noc.addFarMemResponse(TrafficClass::Other, src_ctrl, dst_tile,
-                              page_flits);
-    }
-    if (dst_tier == MemTier::Near) {
-        noc.addMemTraffic(TrafficClass::Other, dst_tile, dst_ctrl,
-                          page_flits);
-    } else {
-        noc.addFarMemTraffic(TrafficClass::Other, dst_tile, dst_ctrl,
-                             page_flits);
-    }
+    noc.addMemResponse(TrafficClass::Other, src_ctrl, dst_tile,
+                       page_flits, src_tier);
+    noc.addMemTraffic(TrafficClass::Other, dst_tile, dst_ctrl,
+                      page_flits, dst_tier);
     migrated++;
     StatRegistry::add(kMemMigrations);
     if (src_tier == MemTier::Far && dst_tier == MemTier::Near)

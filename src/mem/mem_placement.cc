@@ -173,8 +173,10 @@ ContentionMemPlacement::epochUpdate(NocModel &noc,
         // relative-load projection. Everything but the projection is
         // a cost the access path actually pays.
         const auto route_wait = [&](int c) {
-            return (ctrl_flits * noc.memPathWait(anchor, c) +
-                    data_flits * noc.memResponsePathWait(c, anchor)) /
+            return (ctrl_flits *
+                        noc.memPathWait(anchor, c, MemTier::Near) +
+                    data_flits * noc.memResponsePathWait(
+                                     c, anchor, MemTier::Near)) /
                 msg_flits;
         };
         const auto score = [&](int c) {

@@ -18,6 +18,7 @@
 #ifndef CDCS_MEM_MEM_TIER_HH
 #define CDCS_MEM_MEM_TIER_HH
 
+#include <cstddef>
 #include <cstdint>
 
 namespace cdcs
@@ -29,6 +30,16 @@ enum class MemTier : std::uint8_t
     Near, ///< Local DRAM: cfg.memLatency, the near channel pool.
     Far   ///< Far pool: cfg.farMemLatency, its own channels/links.
 };
+
+/** Number of tiers: the extent of every per-tier array. */
+constexpr std::size_t numMemTiers = 2;
+
+/** Index of a tier in a per-tier array (Near = 0, Far = 1). */
+constexpr std::size_t
+tierIndex(MemTier tier)
+{
+    return static_cast<std::size_t>(tier);
+}
 
 /** The two-level placement decision for one line. */
 struct MemPlacement

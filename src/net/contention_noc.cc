@@ -66,8 +66,6 @@ ContentionNoc::rebuildWaitTables()
     const std::size_t ctrls =
         static_cast<std::size_t>(topo.numMemCtrls());
     waitTbl.assign(tiles * tiles, 0.0);
-    memReqTbl.assign(tiles * ctrls, 0.0);
-    memRespTbl.assign(ctrls * tiles, 0.0);
 
     // All-pairs route waits, built by extending each source's walks
     // one link at a time. Floating-point addition is not associative,
@@ -113,38 +111,25 @@ ContentionNoc::rebuildWaitTables()
         }
     }
 
-    // Memory legs: the route wait plus (or after) the attach link, in
-    // the same order the unflattened memPathWait/memResponsePathWait
-    // added them.
-    for (std::size_t c = 0; c < ctrls; c++) {
-        const TileId ctrl_tile =
-            topo.memCtrlTile(static_cast<int>(c));
-        const double attach =
-            linkWait[attachLink(static_cast<int>(c))];
-        for (std::size_t t = 0; t < tiles; t++) {
-            memReqTbl[t * ctrls + c] =
-                waitTbl[t * tiles + ctrl_tile] + attach;
-            memRespTbl[c * tiles + t] =
-                attach + waitTbl[static_cast<std::size_t>(ctrl_tile) *
-                                     tiles +
-                                 t];
-        }
-    }
-
-    // Far legs share the mesh route and substitute the far attach
-    // link's wait for the near one.
-    if (farLinks) {
-        farReqTbl.assign(tiles * ctrls, 0.0);
-        farRespTbl.assign(ctrls * tiles, 0.0);
+    // Memory legs: the route wait plus (or after) the tier's attach
+    // link, in the same order the unflattened memPathWait /
+    // memResponsePathWait added them. Both tiers share the mesh
+    // route; without far links the far tier's attach link is the near
+    // one, so its tables equal the near tables.
+    for (MemTier tier : {MemTier::Near, MemTier::Far}) {
+        std::vector<double> &req = memReqTbl[tierIndex(tier)];
+        std::vector<double> &resp = memRespTbl[tierIndex(tier)];
+        req.assign(tiles * ctrls, 0.0);
+        resp.assign(ctrls * tiles, 0.0);
         for (std::size_t c = 0; c < ctrls; c++) {
             const TileId ctrl_tile =
                 topo.memCtrlTile(static_cast<int>(c));
             const double attach =
-                linkWait[farAttachLink(static_cast<int>(c))];
+                linkWait[attachLink(tier, static_cast<int>(c))];
             for (std::size_t t = 0; t < tiles; t++) {
-                farReqTbl[t * ctrls + c] =
+                req[t * ctrls + c] =
                     waitTbl[t * tiles + ctrl_tile] + attach;
-                farRespTbl[c * tiles + t] = attach +
+                resp[c * tiles + t] = attach +
                     waitTbl[static_cast<std::size_t>(ctrl_tile) *
                                 tiles +
                             t];
@@ -154,93 +139,22 @@ ContentionNoc::rebuildWaitTables()
 }
 
 double
-ContentionNoc::latency(TileId src, TileId dst,
-                       std::uint32_t payload_flits) const
+ContentionNoc::memPathWait(TileId tile, int ctrl, MemTier tier) const
 {
-    return static_cast<double>(
-               topo.latency(topo.hops(src, dst), payload_flits)) +
-        pathWait(src, dst);
-}
-
-double
-ContentionNoc::memPathWait(TileId tile, int ctrl) const
-{
-    return memReqTbl[static_cast<std::size_t>(tile) *
-                         static_cast<std::size_t>(
-                             topo.numMemCtrls()) +
+    return memReqTbl[tierIndex(tier)]
+                    [static_cast<std::size_t>(tile) *
+                         static_cast<std::size_t>(topo.numMemCtrls()) +
                      static_cast<std::size_t>(ctrl)];
 }
 
 double
-ContentionNoc::memResponsePathWait(int ctrl, TileId tile) const
+ContentionNoc::memResponsePathWait(int ctrl, TileId tile,
+                                   MemTier tier) const
 {
-    return memRespTbl[static_cast<std::size_t>(ctrl) *
+    return memRespTbl[tierIndex(tier)]
+                     [static_cast<std::size_t>(ctrl) *
                           static_cast<std::size_t>(topo.numTiles()) +
                       tile];
-}
-
-double
-ContentionNoc::farMemPathWait(TileId tile, int ctrl) const
-{
-    if (!farLinks)
-        return memPathWait(tile, ctrl);
-    return farReqTbl[static_cast<std::size_t>(tile) *
-                         static_cast<std::size_t>(
-                             topo.numMemCtrls()) +
-                     static_cast<std::size_t>(ctrl)];
-}
-
-double
-ContentionNoc::farMemResponsePathWait(int ctrl, TileId tile) const
-{
-    if (!farLinks)
-        return memResponsePathWait(ctrl, tile);
-    return farRespTbl[static_cast<std::size_t>(ctrl) *
-                          static_cast<std::size_t>(topo.numTiles()) +
-                      tile];
-}
-
-double
-ContentionNoc::memLatency(TileId tile, int ctrl,
-                          std::uint32_t payload_flits) const
-{
-    return static_cast<double>(
-               topo.latency(topo.hopsToCtrl(tile, ctrl),
-                            payload_flits)) +
-        memPathWait(tile, ctrl);
-}
-
-double
-ContentionNoc::memResponseLatency(int ctrl, TileId tile,
-                                  std::uint32_t payload_flits) const
-{
-    // Response direction: attach link, then the X-Y route from the
-    // controller's tile — the links routeMemResponse charges.
-    return static_cast<double>(
-               topo.latency(topo.hopsToCtrl(tile, ctrl),
-                            payload_flits)) +
-        memResponsePathWait(ctrl, tile);
-}
-
-double
-ContentionNoc::farMemLatency(TileId tile, int ctrl,
-                             std::uint32_t payload_flits) const
-{
-    return static_cast<double>(
-               topo.latency(topo.hopsToCtrl(tile, ctrl),
-                            payload_flits)) +
-        farMemPathWait(tile, ctrl);
-}
-
-double
-ContentionNoc::farMemResponseLatency(int ctrl, TileId tile,
-                                     std::uint32_t payload_flits)
-    const
-{
-    return static_cast<double>(
-               topo.latency(topo.hopsToCtrl(tile, ctrl),
-                            payload_flits)) +
-        farMemResponsePathWait(ctrl, tile);
 }
 
 void
@@ -251,45 +165,21 @@ ContentionNoc::routeMsg(TileId src, TileId dst, std::uint32_t flits)
 }
 
 void
-ContentionNoc::routeMemMsg(TileId tile, int ctrl,
-                           std::uint32_t flits)
+ContentionNoc::routeMemMsg(TileId tile, int ctrl, std::uint32_t flits,
+                           MemTier tier)
 {
     routeMsg(tile, topo.memCtrlTile(ctrl), flits);
-    linkFlits[attachLink(ctrl)] += flits;
+    linkFlits[attachLink(tier, ctrl)] += flits;
 }
 
 void
 ContentionNoc::routeMemResponse(int ctrl, TileId tile,
-                                std::uint32_t flits)
+                                std::uint32_t flits, MemTier tier)
 {
     // The attach link models the controller port and carries both
     // directions; the mesh legs of the response use the
     // reverse-direction links of the request route.
-    linkFlits[attachLink(ctrl)] += flits;
-    routeMsg(topo.memCtrlTile(ctrl), tile, flits);
-}
-
-void
-ContentionNoc::routeFarMemMsg(TileId tile, int ctrl,
-                              std::uint32_t flits)
-{
-    if (!farLinks) {
-        routeMemMsg(tile, ctrl, flits);
-        return;
-    }
-    routeMsg(tile, topo.memCtrlTile(ctrl), flits);
-    linkFlits[farAttachLink(ctrl)] += flits;
-}
-
-void
-ContentionNoc::routeFarMemResponse(int ctrl, TileId tile,
-                                   std::uint32_t flits)
-{
-    if (!farLinks) {
-        routeMemResponse(ctrl, tile, flits);
-        return;
-    }
-    linkFlits[farAttachLink(ctrl)] += flits;
+    linkFlits[attachLink(tier, ctrl)] += flits;
     routeMsg(topo.memCtrlTile(ctrl), tile, flits);
 }
 
@@ -361,25 +251,18 @@ ContentionNoc::linkStats() const
             out.push_back(stat);
         }
     }
-    for (int ctrl = 0; ctrl < topo.numMemCtrls(); ctrl++) {
-        NocLinkStat stat;
-        stat.src = topo.memCtrlTile(ctrl);
-        stat.dst = invalidTile;
-        stat.memCtrl = ctrl;
-        const std::size_t link = attachLink(ctrl);
-        stat.flits = linkFlits[link];
-        stat.util = linkUtil[link];
-        stat.waitCycles = linkWait[link];
-        out.push_back(stat);
-    }
-    if (farLinks) {
+    // Attach links: the near block, then the far block when the far
+    // tier has its own links.
+    for (MemTier tier : {MemTier::Near, MemTier::Far}) {
+        if (tier == MemTier::Far && !farLinks)
+            break;
         for (int ctrl = 0; ctrl < topo.numMemCtrls(); ctrl++) {
             NocLinkStat stat;
             stat.src = topo.memCtrlTile(ctrl);
             stat.dst = invalidTile;
             stat.memCtrl = ctrl;
-            stat.far = true;
-            const std::size_t link = farAttachLink(ctrl);
+            stat.far = tier == MemTier::Far;
+            const std::size_t link = attachLink(tier, ctrl);
             stat.flits = linkFlits[link];
             stat.util = linkUtil[link];
             stat.waitCycles = linkWait[link];

@@ -2,24 +2,27 @@
  * @file
  * Contention-aware mesh network model. Every message is routed X-Y
  * over explicit directed links (four per tile, plus one attach link
- * per memory controller) with per-link flit counters; queueing delay
+ * per memory controller, and one more per controller when the far
+ * tier has its own links) with per-link flit counters; queueing delay
  * is charged per link from an M/D/1-style waiting time computed at
  * each epoch boundary from the previous epoch's measured link loads.
  *
- * The access path never simulates events: a latency query is the
- * zero-load latency plus a route-wait lookup. Since link waits only
- * change at epochUpdate, the per-route wait sums are flattened there
- * into all-pairs tables (built by extending each walk one link at a
- * time, so every entry performs the exact addition sequence of the
- * route walk — bit-identical by construction), and each hot-path
- * query is a single O(1) table read instead of an O(hops) walk. The
- * injection scale knob multiplies measured utilizations, letting
- * studies sweep load without changing the workload
+ * The access path never simulates events: NocModel prices a message
+ * as the zero-load latency plus this model's route wait. Since link
+ * waits only change at epochUpdate, the per-route wait sums are
+ * flattened there into all-pairs tables (built by extending each walk
+ * one link at a time, so every entry performs the exact addition
+ * sequence of the route walk — bit-identical by construction), and
+ * each wait query is a single O(1) table read instead of an O(hops)
+ * walk. The injection scale knob multiplies measured utilizations,
+ * letting studies sweep load without changing the workload
  * (noc_sensitivity).
  */
 
 #ifndef CDCS_NET_CONTENTION_NOC_HH
 #define CDCS_NET_CONTENTION_NOC_HH
+
+#include <array>
 
 #include "net/noc_model.hh"
 
@@ -45,29 +48,14 @@ class ContentionNoc final : public NocModel
 
     const char *name() const override { return "contention"; }
 
-    double latency(TileId src, TileId dst,
-                   std::uint32_t payload_flits) const override;
-    double memLatency(TileId tile, int ctrl,
-                      std::uint32_t payload_flits) const override;
-    double memResponseLatency(int ctrl, TileId tile,
-                              std::uint32_t payload_flits)
-        const override;
-    double farMemLatency(TileId tile, int ctrl,
-                         std::uint32_t payload_flits) const override;
-    double farMemResponseLatency(int ctrl, TileId tile,
-                                 std::uint32_t payload_flits)
-        const override;
-
     /** Sum of link waits along the X-Y route (flattened, O(1)). */
     double pathWait(TileId src, TileId dst) const override;
-    /** Route wait to a controller, including its attach link. */
-    double memPathWait(TileId tile, int ctrl) const override;
+    /** Route wait to a controller, including `tier`'s attach link. */
+    double memPathWait(TileId tile, int ctrl,
+                       MemTier tier) const override;
     /** Response-route wait from a controller (attach + mesh legs). */
-    double memResponsePathWait(int ctrl, TileId tile) const override;
-    /** Route wait to a controller's far attach link (near when off). */
-    double farMemPathWait(TileId tile, int ctrl) const override;
-    /** Far response-route wait (near when far links are off). */
-    double farMemResponsePathWait(int ctrl, TileId tile) const override;
+    double memResponsePathWait(int ctrl, TileId tile,
+                               MemTier tier) const override;
 
     /**
      * Reference implementation of pathWait: the literal link-by-link
@@ -87,14 +75,10 @@ class ContentionNoc final : public NocModel
   protected:
     void routeMsg(TileId src, TileId dst,
                   std::uint32_t flits) override;
-    void routeMemMsg(TileId tile, int ctrl,
-                     std::uint32_t flits) override;
-    void routeMemResponse(int ctrl, TileId tile,
-                          std::uint32_t flits) override;
-    void routeFarMemMsg(TileId tile, int ctrl,
-                        std::uint32_t flits) override;
-    void routeFarMemResponse(int ctrl, TileId tile,
-                             std::uint32_t flits) override;
+    void routeMemMsg(TileId tile, int ctrl, std::uint32_t flits,
+                     MemTier tier) override;
+    void routeMemResponse(int ctrl, TileId tile, std::uint32_t flits,
+                          MemTier tier) override;
 
   private:
     /** Directed link leaving a tile, in routing order. */
@@ -114,24 +98,18 @@ class ContentionNoc final : public NocModel
             static_cast<std::size_t>(dir);
     }
 
-    /** Link index of controller `ctrl`'s attach link. */
-    std::size_t
-    attachLink(int ctrl) const
-    {
-        return attachBase + static_cast<std::size_t>(ctrl);
-    }
-
     /**
-     * Link index of controller `ctrl`'s far-tier attach link. Only
-     * valid when far links are on (the far block sits after the near
-     * attach block).
+     * Link index of controller `ctrl`'s attach link for `tier`. The
+     * far block sits after the near block; without far links the far
+     * tier folds onto the near attach link.
      */
     std::size_t
-    farAttachLink(int ctrl) const
+    attachLink(MemTier tier, int ctrl) const
     {
-        return attachBase +
-            static_cast<std::size_t>(topo.numMemCtrls()) +
-            static_cast<std::size_t>(ctrl);
+        const std::size_t block = farLinks && tier == MemTier::Far
+            ? static_cast<std::size_t>(topo.numMemCtrls())
+            : 0;
+        return attachBase + block + static_cast<std::size_t>(ctrl);
     }
 
     /**
@@ -162,7 +140,7 @@ class ContentionNoc final : public NocModel
     /**
      * Rebuild the flattened per-epoch wait tables from linkWait.
      * Called whenever linkWait changes (construction, epochUpdate).
-     * O(tiles^2 + tiles * ctrls) — off the access path.
+     * O(tiles^2 + tiers * tiles * ctrls) — off the access path.
      */
     void rebuildWaitTables();
 
@@ -177,12 +155,13 @@ class ContentionNoc final : public NocModel
     std::vector<double> linkWait;          ///< Cycles per traversal.
     std::vector<double> linkUtil;          ///< Last measured (scaled).
 
-    // Flattened per-epoch route-wait tables (rebuildWaitTables).
-    std::vector<double> waitTbl;     ///< [src * tiles + dst].
-    std::vector<double> memReqTbl;   ///< [tile * ctrls + ctrl].
-    std::vector<double> memRespTbl;  ///< [ctrl * tiles + tile].
-    std::vector<double> farReqTbl;   ///< Far legs; empty when off.
-    std::vector<double> farRespTbl;  ///< Far legs; empty when off.
+    // Flattened per-epoch route-wait tables (rebuildWaitTables); the
+    // memory-leg tables are indexed by tierIndex first.
+    std::vector<double> waitTbl;  ///< [src * tiles + dst].
+    std::array<std::vector<double>, numMemTiers>
+        memReqTbl;  ///< [tier][tile * ctrls + ctrl].
+    std::array<std::vector<double>, numMemTiers>
+        memRespTbl; ///< [tier][ctrl * tiles + tile].
 };
 
 } // namespace cdcs

@@ -6,12 +6,15 @@
  * from the paper's zero-load analytic mesh (Table 2) to a
  * contention-aware queueing model without touching the access flow.
  *
- * A NocModel answers two hot-path queries — message latency between
- * tiles and to a memory controller — and accounts each message's
- * traffic (per-class flit-hops, and per-link flits for models that
- * track links). Contention state is refreshed only at epoch
- * boundaries (epochUpdate), never on the access path, so latency
- * queries stay table lookups along the route.
+ * Every latency is the Mesh's zero-load latency plus a queueing wait,
+ * computed once here: a model only answers the waits (pathWait,
+ * memPathWait, memResponsePathWait) and, if it tracks links, accounts
+ * each message through the routeMsg/routeMemMsg/routeMemResponse
+ * hooks. A memory leg (tile <-> controller, incl. the attach link)
+ * takes its MemTier as a parameter: a far tier is the same leg behind
+ * a different attach link, never a second API. Contention state is
+ * refreshed only at epoch boundaries (epochUpdate), never on the
+ * access path, so wait queries stay table lookups.
  */
 
 #ifndef CDCS_NET_NOC_MODEL_HH
@@ -22,6 +25,7 @@
 #include <vector>
 
 #include "common/types.hh"
+#include "mem/mem_tier.hh"
 #include "mesh/mesh.hh"
 
 namespace cdcs
@@ -47,13 +51,13 @@ struct NocLinkStat
 };
 
 /**
- * Interface of a network model: latency queries + traffic accounting
- * + epoch-boundary contention refresh + stats snapshots.
+ * Interface of a network model: wait queries + per-link accounting
+ * hooks + epoch-boundary contention refresh + stats snapshots.
  *
- * The base class owns the per-class flit-hop counters every model
- * reports (the Fig. 11d / 14 / 15b breakdowns); per-link accounting
- * is delegated to the routeMsg/routeMemMsg hooks so zero-load models
- * pay nothing for it.
+ * The base class owns the latency queries and the per-class flit-hop
+ * counters every model reports (the Fig. 11d / 14 / 15b breakdowns).
+ * The default waits answer 0 and the default hooks do nothing, so
+ * the zero-load model overrides neither and pays nothing for them.
  */
 class NocModel
 {
@@ -68,51 +72,41 @@ class NocModel
     virtual const char *name() const = 0;
 
     /** Latency of one message routed X-Y from src to dst. */
-    virtual double latency(TileId src, TileId dst,
-                           std::uint32_t payload_flits) const = 0;
+    double
+    latency(TileId src, TileId dst, std::uint32_t payload_flits) const
+    {
+        return static_cast<double>(
+                   topo.latency(topo.hops(src, dst), payload_flits)) +
+            pathWait(src, dst);
+    }
 
     /**
-     * Latency of one message between a tile and memory controller
-     * `ctrl`, including the controller's attach link (the +1 hop of
-     * Mesh::hopsToCtrl).
+     * Latency of one message from a tile to memory controller `ctrl`,
+     * including the attach link of `tier` (the +1 hop of
+     * Mesh::hopsToCtrl). Both tiers hang off the controller's tile,
+     * so the hop count is the tier-independent part.
      */
-    virtual double memLatency(TileId tile, int ctrl,
-                              std::uint32_t payload_flits) const = 0;
+    double
+    memLatency(TileId tile, int ctrl, std::uint32_t payload_flits,
+               MemTier tier = MemTier::Near) const
+    {
+        return static_cast<double>(topo.latency(
+                   topo.hopsToCtrl(tile, ctrl), payload_flits)) +
+            memPathWait(tile, ctrl, tier);
+    }
 
     /**
      * Latency of one response from memory controller `ctrl` to a
-     * tile (incl. attach). Zero-load latency is direction-symmetric,
-     * so the default forwards to memLatency; contention models charge
-     * the response-direction link waits instead.
+     * tile (attach link of `tier`, then the reverse-direction route).
      */
-    virtual double
+    double
     memResponseLatency(int ctrl, TileId tile,
-                       std::uint32_t payload_flits) const
+                       std::uint32_t payload_flits,
+                       MemTier tier = MemTier::Near) const
     {
-        return memLatency(tile, ctrl, payload_flits);
-    }
-
-    /**
-     * Latency of one message between a tile and controller `ctrl`'s
-     * FAR attach link. The far pool hangs off the same controller
-     * tile as near DRAM, so the mesh legs are identical and only the
-     * attach link differs; models without dedicated far links (and
-     * zero-load models, where an uncontended attach link prices the
-     * same) answer the near-tier latency.
-     */
-    virtual double
-    farMemLatency(TileId tile, int ctrl,
-                  std::uint32_t payload_flits) const
-    {
-        return memLatency(tile, ctrl, payload_flits);
-    }
-
-    /** Far-tier counterpart of memResponseLatency. */
-    virtual double
-    farMemResponseLatency(int ctrl, TileId tile,
-                          std::uint32_t payload_flits) const
-    {
-        return memResponseLatency(ctrl, tile, payload_flits);
+        return static_cast<double>(topo.latency(
+                   topo.hopsToCtrl(tile, ctrl), payload_flits)) +
+            memResponsePathWait(ctrl, tile, tier);
     }
 
     /** Account one tile-to-tile message of a given class. */
@@ -125,15 +119,19 @@ class NocModel
         routeMsg(src, dst, flits);
     }
 
-    /** Account one tile-to-memory-controller message (incl. attach). */
+    /**
+     * Account one tile-to-memory-controller message entering the
+     * attach link of `tier`. The hop count is the same for both
+     * tiers; only the per-link routing differs.
+     */
     void
     addMemTraffic(TrafficClass cls, TileId tile, int ctrl,
-                  std::uint32_t flits)
+                  std::uint32_t flits, MemTier tier = MemTier::Near)
     {
         flitHops[static_cast<std::size_t>(cls)] +=
             static_cast<std::uint64_t>(topo.hopsToCtrl(tile, ctrl)) *
             flits;
-        routeMemMsg(tile, ctrl, flits);
+        routeMemMsg(tile, ctrl, flits, tier);
     }
 
     /**
@@ -144,38 +142,12 @@ class NocModel
      */
     void
     addMemResponse(TrafficClass cls, int ctrl, TileId tile,
-                   std::uint32_t flits)
+                   std::uint32_t flits, MemTier tier = MemTier::Near)
     {
         flitHops[static_cast<std::size_t>(cls)] +=
             static_cast<std::uint64_t>(topo.hopsToCtrl(tile, ctrl)) *
             flits;
-        routeMemResponse(ctrl, tile, flits);
-    }
-
-    /**
-     * Account one tile-to-controller message entering the FAR attach
-     * link. The hop count matches the near tier (same controller
-     * tile, one attach hop); only the per-link routing differs.
-     */
-    void
-    addFarMemTraffic(TrafficClass cls, TileId tile, int ctrl,
-                     std::uint32_t flits)
-    {
-        flitHops[static_cast<std::size_t>(cls)] +=
-            static_cast<std::uint64_t>(topo.hopsToCtrl(tile, ctrl)) *
-            flits;
-        routeFarMemMsg(tile, ctrl, flits);
-    }
-
-    /** Far-tier counterpart of addMemResponse. */
-    void
-    addFarMemResponse(TrafficClass cls, int ctrl, TileId tile,
-                      std::uint32_t flits)
-    {
-        flitHops[static_cast<std::size_t>(cls)] +=
-            static_cast<std::uint64_t>(topo.hopsToCtrl(tile, ctrl)) *
-            flits;
-        routeFarMemResponse(ctrl, tile, flits);
+        routeMemResponse(ctrl, tile, flits, tier);
     }
 
     /**
@@ -195,45 +167,30 @@ class NocModel
 
     /**
      * Queueing wait (cycles) on the route from a tile to memory
-     * controller `ctrl`, including the attach link. Zero-load models
-     * answer 0.
+     * controller `ctrl`, including `tier`'s attach link. Zero-load
+     * models answer 0.
      */
     virtual double
-    memPathWait(TileId tile, int ctrl) const
+    memPathWait(TileId tile, int ctrl, MemTier tier) const
     {
         (void)tile;
         (void)ctrl;
+        (void)tier;
         return 0.0;
     }
 
     /**
      * Queueing wait (cycles) on the response route from memory
-     * controller `ctrl` back to a tile (attach link + the
+     * controller `ctrl` back to a tile (`tier`'s attach link + the
      * reverse-direction mesh links). Zero-load models answer 0.
      */
     virtual double
-    memResponsePathWait(int ctrl, TileId tile) const
+    memResponsePathWait(int ctrl, TileId tile, MemTier tier) const
     {
         (void)ctrl;
         (void)tile;
+        (void)tier;
         return 0.0;
-    }
-
-    /**
-     * Route wait to controller `ctrl`'s far attach link. Models
-     * without dedicated far links answer the near-tier wait.
-     */
-    virtual double
-    farMemPathWait(TileId tile, int ctrl) const
-    {
-        return memPathWait(tile, ctrl);
-    }
-
-    /** Far-tier counterpart of memResponsePathWait. */
-    virtual double
-    farMemResponsePathWait(int ctrl, TileId tile) const
-    {
-        return memResponsePathWait(ctrl, tile);
     }
 
     /**
@@ -281,39 +238,26 @@ class NocModel
         (void)flits;
     }
 
-    /** Per-link accounting hook for one memory leg (+ attach link). */
+    /** Per-link hook for one memory leg (+ `tier`'s attach link). */
     virtual void
-    routeMemMsg(TileId tile, int ctrl, std::uint32_t flits)
+    routeMemMsg(TileId tile, int ctrl, std::uint32_t flits,
+                MemTier tier)
     {
         (void)tile;
         (void)ctrl;
         (void)flits;
+        (void)tier;
     }
 
     /** Per-link hook for one memory response (attach link + route). */
     virtual void
-    routeMemResponse(int ctrl, TileId tile, std::uint32_t flits)
+    routeMemResponse(int ctrl, TileId tile, std::uint32_t flits,
+                     MemTier tier)
     {
         (void)ctrl;
         (void)tile;
         (void)flits;
-    }
-
-    /**
-     * Per-link hook for one far-tier memory leg. Models without
-     * dedicated far links fold the traffic into the near accounting.
-     */
-    virtual void
-    routeFarMemMsg(TileId tile, int ctrl, std::uint32_t flits)
-    {
-        routeMemMsg(tile, ctrl, flits);
-    }
-
-    /** Per-link hook for one far-tier memory response. */
-    virtual void
-    routeFarMemResponse(int ctrl, TileId tile, std::uint32_t flits)
-    {
-        routeMemResponse(ctrl, tile, flits);
+        (void)tier;
     }
 
     const Mesh &topo;

@@ -1,11 +1,11 @@
 /**
  * @file
- * Zero-load network model: a thin adapter over the Mesh's analytic
- * latency math (hops * (router + link) + serialization), exactly the
+ * Zero-load network model: the Mesh's analytic latency math
+ * (hops * (router + link) + serialization), exactly the
  * 3-cycle-router / 1-cycle-link mesh of the paper's Table 2. This is
- * the default model and is byte-identical to the pre-NocModel
- * simulator: it performs the same integer arithmetic the AccessPath
- * used to do against the Mesh directly.
+ * the default model. It keeps NocModel's zero waits and no-op link
+ * hooks, so every latency is the Mesh's integer arithmetic plus 0.0 —
+ * bit-identical to the pre-NocModel simulator.
  */
 
 #ifndef CDCS_NET_ZERO_LOAD_NOC_HH
@@ -23,22 +23,6 @@ class ZeroLoadNoc final : public NocModel
     explicit ZeroLoadNoc(const Mesh &mesh) : NocModel(mesh) {}
 
     const char *name() const override { return "zero-load"; }
-
-    double
-    latency(TileId src, TileId dst,
-            std::uint32_t payload_flits) const override
-    {
-        return static_cast<double>(
-            topo.latency(topo.hops(src, dst), payload_flits));
-    }
-
-    double
-    memLatency(TileId tile, int ctrl,
-               std::uint32_t payload_flits) const override
-    {
-        return static_cast<double>(
-            topo.latency(topo.hopsToCtrl(tile, ctrl), payload_flits));
-    }
 };
 
 } // namespace cdcs

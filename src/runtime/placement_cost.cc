@@ -79,8 +79,9 @@ PlacementCostModel::fromNoc(const NocModel &noc, double hop_cycles,
     for (TileId t = 0; t < mesh.numTiles(); t++) {
         double sum = 0.0;
         for (int c = 0; c < ctrls; c++) {
-            sum += (ctrl_flits * noc.memPathWait(t, c) +
-                    data_flits * noc.memResponsePathWait(c, t)) /
+            sum += (ctrl_flits * noc.memPathWait(t, c, MemTier::Near) +
+                    data_flits *
+                        noc.memResponsePathWait(c, t, MemTier::Near)) /
                 msg_flits;
         }
         mem_waits[static_cast<std::size_t>(t)] =

@@ -70,8 +70,7 @@ AccessPath::meanActiveCycles() const
 void
 AccessPath::beginChunk()
 {
-    chunkMisses = 0;
-    chunkFarMisses = 0;
+    chunkMisses.fill(0);
 }
 
 void
@@ -80,17 +79,15 @@ AccessPath::endChunk(double before, double after)
     if (!cfg.modelMemBandwidth)
         return;
     const double dt = std::max(after - before, 1.0);
-    const double rho = std::min(
-        0.95, (static_cast<double>(chunkMisses) / dt) /
-            cfg.memLinesPerCycle);
-    queueDelay = memQueueWait(rho, cfg.memChannels,
-                              cfg.memLinesPerCycle);
-    if (cfg.hasFarTier()) {
-        const double far_rho = std::min(
-            0.95, (static_cast<double>(chunkFarMisses) / dt) /
-                cfg.farMemLinesPerCycle);
-        farQueueDelay = memQueueWait(far_rho, cfg.farMemChannels,
-                                     cfg.farMemLinesPerCycle);
+    const std::size_t tiers = cfg.hasFarTier() ? numMemTiers : 1;
+    for (std::size_t i = 0; i < tiers; i++) {
+        const bool far = i == tierIndex(MemTier::Far);
+        const double rate =
+            far ? cfg.farMemLinesPerCycle : cfg.memLinesPerCycle;
+        const double rho = std::min(
+            0.95, (static_cast<double>(chunkMisses[i]) / dt) / rate);
+        queueDelay[i] = memQueueWait(
+            rho, far ? cfg.farMemChannels : cfg.memChannels, rate);
     }
 }
 
@@ -111,6 +108,35 @@ AccessPath::noteMemAccess(int ctrl)
             static_cast<std::size_t>(platform.mesh.numMemCtrls()), 0);
     }
     stats.memCtrlAccesses[static_cast<std::size_t>(ctrl)]++;
+}
+
+double
+AccessPath::chargeMemLeg(TileId from, MemPlacement mp, TileId to)
+{
+    NocModel &noc = *platform.noc;
+    const std::uint32_t ctrl = cfg.noc.ctrlFlits();
+    const std::uint32_t data = cfg.noc.dataFlits();
+    const bool far = mp.tier == MemTier::Far;
+    const Cycles service = far ? cfg.farMemLatency : cfg.memLatency;
+    const std::size_t tier = tierIndex(mp.tier);
+    const double leg = timedNocQuery([&] {
+        return noc.memLatency(from, mp.ctrl, ctrl, mp.tier) + service +
+            queueDelay[tier] +
+            noc.memResponseLatency(mp.ctrl, to, data, mp.tier);
+    });
+    noc.addMemTraffic(TrafficClass::LLCToMem, from, mp.ctrl, ctrl,
+                      mp.tier);
+    noc.addMemResponse(TrafficClass::LLCToMem, mp.ctrl, to, data,
+                       mp.tier);
+    chunkMisses[tier]++;
+    stats.memAccesses++;
+    if (far) {
+        stats.farMemAccesses++;
+        stats.farOffChipLatSum += leg;
+        StatRegistry::add(kMemFarAccesses);
+    }
+    noteMemAccess(mp.ctrl);
+    return leg;
 }
 
 void
@@ -161,6 +187,9 @@ AccessPath::issueAccess(ThreadId t)
     stats.llcAccesses++;
     BankAccessResult fill_res;
     bool filled = false;
+    // Where a miss's memory request leaves from: the new home bank,
+    // or the old bank when a demand move misses there too (Fig. 10b).
+    TileId mem_from = invalidTile;
     if (banks[mr.bank].probeHit(sample.line, tag, core)) {
         stats.llcHits++;
     } else if (mr.oldBank != invalidTile &&
@@ -191,79 +220,17 @@ AccessPath::issueAccess(ThreadId t)
             filled = true;
             stats.demandMoves++;
         } else {
-            // Old bank miss: forward to memory; the response fills
-            // the new home (Fig. 10b).
-            const MemPlacement mp = memPlaceFor(core, sample.line);
-            const int mc = mp.ctrl;
-            const bool far = mp.tier == MemTier::Far;
-            const double mem_leg = timedNocQuery([&] {
-                if (far) {
-                    return noc.farMemLatency(old_tile, mc, ctrl) +
-                        cfg.farMemLatency + farQueueDelay +
-                        noc.farMemResponseLatency(mc, bank_tile,
-                                                  data);
-                }
-                return noc.memLatency(old_tile, mc, ctrl) +
-                    cfg.memLatency + queueDelay +
-                    noc.memResponseLatency(mc, bank_tile, data);
-            });
-            lat += mem_leg;
-            offchip += mem_leg;
-            if (far) {
-                noc.addFarMemTraffic(TrafficClass::LLCToMem,
-                                     old_tile, mc, ctrl);
-                noc.addFarMemResponse(TrafficClass::LLCToMem, mc,
-                                      bank_tile, data);
-                stats.farMemAccesses++;
-                stats.farOffChipLatSum += mem_leg;
-                StatRegistry::add(kMemFarAccesses);
-                chunkFarMisses++;
-            } else {
-                noc.addMemTraffic(TrafficClass::LLCToMem, old_tile,
-                                  mc, ctrl);
-                noc.addMemResponse(TrafficClass::LLCToMem, mc,
-                                   bank_tile, data);
-                chunkMisses++;
-            }
-            stats.memAccesses++;
-            noteMemAccess(mc);
-            fill_res = banks[mr.bank].fill(sample.line, tag, core);
-            filled = true;
+            mem_from = old_tile;
         }
     } else {
-        const MemPlacement mp = memPlaceFor(core, sample.line);
-        const int mc = mp.ctrl;
-        const bool far = mp.tier == MemTier::Far;
-        const double mem_leg = timedNocQuery([&] {
-            if (far) {
-                return noc.farMemLatency(bank_tile, mc, ctrl) +
-                    cfg.farMemLatency + farQueueDelay +
-                    noc.farMemResponseLatency(mc, bank_tile, data);
-            }
-            return noc.memLatency(bank_tile, mc, ctrl) +
-                cfg.memLatency + queueDelay +
-                noc.memResponseLatency(mc, bank_tile, data);
-        });
+        mem_from = bank_tile;
+    }
+    if (mem_from != invalidTile) {
+        // The memory response fills the new home.
+        const double mem_leg = chargeMemLeg(
+            mem_from, memPlaceFor(core, sample.line), bank_tile);
         lat += mem_leg;
         offchip += mem_leg;
-        if (far) {
-            noc.addFarMemTraffic(TrafficClass::LLCToMem, bank_tile,
-                                 mc, ctrl);
-            noc.addFarMemResponse(TrafficClass::LLCToMem, mc,
-                                  bank_tile, data);
-            stats.farMemAccesses++;
-            stats.farOffChipLatSum += mem_leg;
-            StatRegistry::add(kMemFarAccesses);
-            chunkFarMisses++;
-        } else {
-            noc.addMemTraffic(TrafficClass::LLCToMem, bank_tile, mc,
-                              ctrl);
-            noc.addMemResponse(TrafficClass::LLCToMem, mc, bank_tile,
-                               data);
-            chunkMisses++;
-        }
-        stats.memAccesses++;
-        noteMemAccess(mc);
         fill_res = banks[mr.bank].fill(sample.line, tag, core);
         filled = true;
     }

@@ -2,15 +2,18 @@
  * @file
  * Per-access dynamics layer: drives one LLC access end to end through
  * the platform (policy mapping, bank lookup, demand moves, memory),
- * accounts latency/traffic/stats, models the memory-bandwidth queue,
- * and keeps the first-touch NUMA page map. Owns the per-thread core
- * clocks and the per-epoch access matrix the EpochController feeds to
- * the runtime.
+ * accounts latency/traffic/stats and models the per-tier
+ * memory-bandwidth queues. Every LLC miss, plain or a demand move
+ * that also misses its old bank, pays its off-chip leg through one
+ * chargeMemLeg call, whichever tier serves it. Owns the per-thread
+ * core clocks and the per-epoch access matrix the EpochController
+ * feeds to the runtime.
  */
 
 #ifndef CDCS_SIM_ACCESS_PATH_HH
 #define CDCS_SIM_ACCESS_PATH_HH
 
+#include <array>
 #include <vector>
 
 #include "sim/core_model.hh"
@@ -77,19 +80,25 @@ class AccessPath
     /** Account one memory access against its serving controller. */
     void noteMemAccess(int ctrl);
 
+    /**
+     * Charge one off-chip leg: the request from tile `from` to the
+     * controller and tier of `mp`, the tier's service latency and
+     * queueing delay, and the data response to tile `to`. Accounts
+     * the NoC traffic, the per-tier miss and access counters and the
+     * per-controller access count. Returns the leg's latency.
+     */
+    double chargeMemLeg(TileId from, MemPlacement mp, TileId to);
+
     const SystemConfig &cfg;
     Platform &platform;
     WorkloadMix &mix;
     std::vector<TileId> &threadCore;
     RunStats &stats;
 
-    // Memory-bandwidth queueing state, per tier. chunkMisses counts
-    // near-tier misses only once a far tier is on; with no far tier
-    // every miss is near and the arithmetic is the legacy one.
-    double queueDelay = 0.0;
-    double farQueueDelay = 0.0;
-    std::uint64_t chunkMisses = 0;
-    std::uint64_t chunkFarMisses = 0;
+    // Memory-bandwidth queueing state, indexed by tierIndex. With no
+    // far tier every miss is near and only the near entries move.
+    std::array<double, numMemTiers> queueDelay{};
+    std::array<std::uint64_t, numMemTiers> chunkMisses{};
 
     std::uint64_t monitorTrafficSampleCtr = 0;
 };

@@ -247,6 +247,24 @@ ExperimentRunner::writeShardManifest(const std::string &path) const
     return std::fclose(f) == 0 && ok;
 }
 
+void
+ExperimentRunner::checkJobs(const std::vector<Job> &jobs)
+{
+    for (const Job &job : jobs) {
+        const int threads = buildMix(job.mix).numThreads();
+        const int tiles = job.cfg.meshWidth * job.cfg.meshHeight;
+        if (threads > tiles) {
+            char msg[128];
+            std::snprintf(msg, sizeof(msg),
+                          "mix has %d threads but the %dx%d mesh has "
+                          "only %d tiles",
+                          threads, job.cfg.meshWidth,
+                          job.cfg.meshHeight, tiles);
+            throw JobSetError(msg);
+        }
+    }
+}
+
 RunResult
 ExperimentRunner::runJob(const Job &job)
 {
@@ -356,12 +374,15 @@ RunResult
 ExperimentRunner::run(const SystemConfig &cfg,
                       const SchemeSpec &scheme, const MixSpec &mix)
 {
-    return runJob(Job{cfg, scheme, mix});
+    const std::vector<Job> jobs{Job{cfg, scheme, mix}};
+    checkJobs(jobs);
+    return runJob(jobs.front());
 }
 
 std::vector<RunResult>
 ExperimentRunner::runAll(const std::vector<Job> &jobs)
 {
+    checkJobs(jobs);
     std::vector<RunResult> results(jobs.size());
     std::vector<std::function<void()>> tasks;
     tasks.reserve(jobs.size());

@@ -22,6 +22,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -58,6 +59,18 @@ struct SweepResult
 
     /** Write toJson() to `path`; returns false on I/O failure. */
     bool writeJson(const std::string &path) const;
+};
+
+/**
+ * A job set the runner refuses to schedule: one of its jobs cannot be
+ * simulated at all (a mix with more threads than its mesh has tiles).
+ * Thrown before any job of the set runs; runStudy reports what() on
+ * one line and exits 2.
+ */
+class JobSetError : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
 };
 
 /**
@@ -144,7 +157,11 @@ class ExperimentRunner
     ExperimentRunner() : ExperimentRunner(Options{}) {}
     explicit ExperimentRunner(Options options);
 
-    /** Run one scheme on one mix (memoized if an S-NUCA baseline). */
+    /**
+     * Run one scheme on one mix (memoized if an S-NUCA baseline).
+     * Like runAll, sweep and runSchemes, throws JobSetError before
+     * running anything when the mix does not fit the mesh.
+     */
     RunResult run(const SystemConfig &cfg, const SchemeSpec &scheme,
                   const MixSpec &mix);
 
@@ -203,6 +220,12 @@ class ExperimentRunner
     static std::string cacheKey(const SystemConfig &cfg,
                                 const SchemeSpec &scheme,
                                 const MixSpec &mix);
+
+    /**
+     * Build every job's mix and throw JobSetError if one has more
+     * threads than its config's mesh has tiles.
+     */
+    static void checkJobs(const std::vector<Job> &jobs);
 
     RunResult runJob(const Job &job);
 

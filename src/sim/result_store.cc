@@ -287,7 +287,9 @@ deserializeResult(ByteReader &r, RunResult *out)
         if (!r.u64(&hops))
             return false;
     }
-    if (!r.u32(&num_links))
+    // A link record is 44 bytes; bound the count by what is left
+    // before allocating, like every other counted field.
+    if (!r.u32(&num_links) || r.remaining() / 44 < num_links)
         return false;
     out->nocLinks.resize(num_links);
     for (NocLinkStat &link : out->nocLinks) {

@@ -137,7 +137,12 @@ runStudy(const StudySpec &spec, const Overrides &overrides,
     sink.beginStudy(spec);
     if (Tracer::enabled())
         Tracer::instant("study " + spec.name);
-    spec.run(ctx);
+    try {
+        spec.run(ctx);
+    } catch (const JobSetError &e) {
+        std::fprintf(stderr, "%s: %s\n", spec.name.c_str(), e.what());
+        return 2;
+    }
     if (runner.options().cacheResults) {
         // The runner (and cache) is shared across the studies of one
         // invocation; report this study's delta, not the lifetime
@@ -477,8 +482,13 @@ studiesCliMain(int argc, char **argv)
     if (!trace_path.empty())
         Tracer::open(trace_path);
     int rc = 0;
-    for (const StudySpec *spec : specs)
-        rc |= runStudy(*spec, overrides, runner, *sink);
+    for (const StudySpec *spec : specs) {
+        const int study_rc = runStudy(*spec, overrides, runner, *sink);
+        rc |= study_rc;
+        // A rejected job set is a user error: stop at the first one.
+        if (study_rc == 2)
+            break;
+    }
     sink->finish();
     // One trace file per invocation, covering every study run.
     if (!Tracer::close())

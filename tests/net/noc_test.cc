@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
+#include "mem/mem_migration.hh"
 #include "net/contention_noc.hh"
 #include "net/noc_registry.hh"
 #include "net/zero_load_noc.hh"
@@ -169,6 +170,50 @@ TEST(ContentionNocTest, MemResponseChargesReverseRouteAndAttach)
     EXPECT_EQ(link_sum, noc.totalFlitHops());
 }
 
+TEST(ContentionNocTest, FarTierTrafficChargesTheFarAttachLinks)
+{
+    // A page copied far -> far between two controllers is one far
+    // response out of the source controller and one far request into
+    // the destination. With far links on it loads only the far attach
+    // links; with them off it lands on the near attach links. Either
+    // way the per-class flit-hops equal a near -> near copy's.
+    const Mesh mesh(4, 4);
+    const int src_ctrl = 0;
+    const int dst_ctrl = mesh.numMemCtrls() - 1;
+    const std::uint64_t page_flits =
+        linesPerPage * mesh.config().dataFlits();
+    std::uint64_t migrated = 0;
+    ContentionNoc near_copy(mesh, 1.0, 0.95, true);
+    recordPageMigration(near_copy, mesh, src_ctrl, MemTier::Near,
+                        dst_ctrl, MemTier::Near, migrated);
+    for (bool far_links : {true, false}) {
+        ContentionNoc noc(mesh, 1.0, 0.95, far_links);
+        recordPageMigration(noc, mesh, src_ctrl, MemTier::Far,
+                            dst_ctrl, MemTier::Far, migrated);
+        EXPECT_EQ(noc.trafficFlitHops(TrafficClass::Other),
+                  near_copy.trafficFlitHops(TrafficClass::Other));
+        std::uint64_t near_attach = 0, far_attach = 0;
+        std::uint64_t src_attach = 0, dst_attach = 0, link_sum = 0;
+        for (const NocLinkStat &link : noc.linkStats()) {
+            link_sum += link.flits;
+            if (link.memCtrl < 0)
+                continue;
+            EXPECT_TRUE(far_links || !link.far);
+            (link.far ? far_attach : near_attach) += link.flits;
+            if (link.memCtrl == src_ctrl)
+                src_attach += link.flits;
+            if (link.memCtrl == dst_ctrl)
+                dst_attach += link.flits;
+        }
+        EXPECT_EQ(far_attach, far_links ? 2 * page_flits : 0u);
+        EXPECT_EQ(near_attach, far_links ? 0u : 2 * page_flits);
+        EXPECT_EQ(src_attach, page_flits); // The response leaves here.
+        EXPECT_EQ(dst_attach, page_flits); // The request enters here.
+        EXPECT_EQ(link_sum, noc.totalFlitHops());
+    }
+    EXPECT_EQ(migrated, 3u);
+}
+
 TEST(ContentionNocTest, ResponseLatencyReadsResponseDirectionWaits)
 {
     // Load only the response direction of a memory route: the
@@ -184,21 +229,23 @@ TEST(ContentionNocTest, ResponseLatencyReadsResponseDirectionWaits)
     noc.addTraffic(TrafficClass::Other, ctrl_tile, far, 50000);
     noc.epochUpdate(10000.0);
 
-    EXPECT_GT(noc.memResponsePathWait(ctrl, far), 0.0);
-    EXPECT_EQ(noc.memPathWait(far, ctrl), 0.0);
+    EXPECT_GT(noc.memResponsePathWait(ctrl, far, MemTier::Near),
+              0.0);
+    EXPECT_EQ(noc.memPathWait(far, ctrl, MemTier::Near), 0.0);
     EXPECT_EQ(noc.memLatency(far, ctrl, 1),
               static_cast<double>(
                   mesh.latency(mesh.hopsToCtrl(far, ctrl), 1)));
     EXPECT_EQ(noc.memResponseLatency(ctrl, far, 5),
               static_cast<double>(
                   mesh.latency(mesh.hopsToCtrl(far, ctrl), 5)) +
-                  noc.memResponsePathWait(ctrl, far));
+                  noc.memResponsePathWait(ctrl, far,
+                                          MemTier::Near));
 }
 
 TEST(ZeroLoadNocTest, MemResponseLatencyIsSymmetric)
 {
-    // The default memResponseLatency forwards to memLatency: under
-    // zero load the response leg costs exactly the request leg.
+    // Zero-load hop counts are direction-symmetric: the response leg
+    // costs exactly the request leg.
     const Mesh mesh(6, 6);
     const ZeroLoadNoc noc(mesh);
     for (TileId t = 0; t < mesh.numTiles(); t += 5) {
@@ -296,7 +343,7 @@ TEST(ZeroLoadNocTest, PathWaitQueriesAnswerZero)
         for (TileId b = 0; b < mesh.numTiles(); b++)
             EXPECT_EQ(noc.pathWait(a, b), 0.0);
         for (int c = 0; c < mesh.numMemCtrls(); c++)
-            EXPECT_EQ(noc.memPathWait(a, c), 0.0);
+            EXPECT_EQ(noc.memPathWait(a, c, MemTier::Near), 0.0);
     }
 }
 
@@ -335,7 +382,7 @@ TEST(ContentionNocTest, LatencyDecomposesIntoZeroLoadPlusPathWait)
                 noc.memLatency(a, c, 5),
                 static_cast<double>(
                     mesh.latency(mesh.hopsToCtrl(a, c), 5)) +
-                    noc.memPathWait(a, c));
+                    noc.memPathWait(a, c, MemTier::Near));
         }
     }
 }
@@ -346,47 +393,69 @@ TEST(ContentionNocTest, FlattenedWaitsMatchRouteWalkBitForBit)
     // link-by-link route walk bit-for-bit (EXPECT_EQ, not NEAR) on
     // randomized meshes under randomized traffic: any FP reassociation
     // in the flattening would silently shift every downstream study.
+    // With far links on, half the memory traffic loads the far attach
+    // links and both tiers' tables are checked.
     Rng rng(2024);
     const int dims[][2] = {{2, 2}, {4, 4}, {6, 6}, {5, 3}, {3, 7}};
-    for (const auto &dim : dims) {
-        const Mesh mesh(dim[0], dim[1]);
-        ContentionNoc noc(mesh, 1.0, 0.95);
-        const int tiles = mesh.numTiles();
-        // Random traffic over all classes and both mem directions.
-        for (int i = 0; i < 40 * tiles; i++) {
-            const auto src =
-                static_cast<TileId>(rng.below(tiles));
-            const auto dst =
-                static_cast<TileId>(rng.below(tiles));
-            const auto flits =
-                static_cast<std::uint32_t>(1 + rng.below(8));
-            noc.addTraffic(TrafficClass::L2ToLLC, src, dst, flits);
-            const int ctrl = static_cast<int>(
-                rng.below(mesh.numMemCtrls()));
-            noc.addMemTraffic(TrafficClass::LLCToMem, src, ctrl,
-                              flits);
-            noc.addMemResponse(TrafficClass::LLCToMem, ctrl, dst,
-                               flits);
-        }
-        noc.epochUpdate(1000.0 + rng.uniform(0.0, 500.0));
+    for (bool far_links : {false, true}) {
+        for (const auto &dim : dims) {
+            const Mesh mesh(dim[0], dim[1]);
+            ContentionNoc noc(mesh, 1.0, 0.95, far_links);
+            const int tiles = mesh.numTiles();
+            // Random traffic over all classes and both mem directions.
+            for (int i = 0; i < 40 * tiles; i++) {
+                const auto src =
+                    static_cast<TileId>(rng.below(tiles));
+                const auto dst =
+                    static_cast<TileId>(rng.below(tiles));
+                const auto flits =
+                    static_cast<std::uint32_t>(1 + rng.below(8));
+                noc.addTraffic(TrafficClass::L2ToLLC, src, dst, flits);
+                const int ctrl = static_cast<int>(
+                    rng.below(mesh.numMemCtrls()));
+                const MemTier tier = far_links && i % 2 == 1
+                    ? MemTier::Far
+                    : MemTier::Near;
+                noc.addMemTraffic(TrafficClass::LLCToMem, src, ctrl,
+                                  flits, tier);
+                noc.addMemResponse(TrafficClass::LLCToMem, ctrl, dst,
+                                   flits, tier);
+            }
+            noc.epochUpdate(1000.0 + rng.uniform(0.0, 500.0));
 
-        for (TileId a = 0; a < tiles; a++) {
-            for (TileId b = 0; b < tiles; b++)
-                EXPECT_EQ(noc.pathWait(a, b), noc.walkPathWait(a, b));
-        }
-        // Mem legs: the reference is the walk plus/then the attach
-        // wait, in the directions the unflattened queries added them.
-        for (int c = 0; c < mesh.numMemCtrls(); c++) {
-            const TileId ct = mesh.memCtrlTile(c);
-            // The attach wait is observable as the mem-path extra on
-            // the controller's own tile (zero-length mesh route).
-            const double attach = noc.memPathWait(ct, c);
-            EXPECT_EQ(noc.walkPathWait(ct, ct), 0.0);
-            for (TileId t = 0; t < tiles; t++) {
-                EXPECT_EQ(noc.memPathWait(t, c),
-                          noc.walkPathWait(t, ct) + attach);
-                EXPECT_EQ(noc.memResponsePathWait(c, t),
-                          attach + noc.walkPathWait(ct, t));
+            for (TileId a = 0; a < tiles; a++) {
+                for (TileId b = 0; b < tiles; b++) {
+                    EXPECT_EQ(noc.pathWait(a, b),
+                              noc.walkPathWait(a, b));
+                }
+            }
+            // Mem legs: the reference is the walk plus/then the
+            // tier's attach-link wait as linkStats reports it, in the
+            // directions the unflattened queries added them. Without
+            // far links the far tier folds onto the near attach link.
+            const std::vector<NocLinkStat> links = noc.linkStats();
+            const auto attach_wait = [&](int c, bool far) {
+                for (const NocLinkStat &link : links) {
+                    if (link.memCtrl == c && link.far == far)
+                        return link.waitCycles;
+                }
+                ADD_FAILURE() << "no attach link for ctrl " << c;
+                return 0.0;
+            };
+            for (MemTier tier : {MemTier::Near, MemTier::Far}) {
+                for (int c = 0; c < mesh.numMemCtrls(); c++) {
+                    const TileId ct = mesh.memCtrlTile(c);
+                    const double attach = attach_wait(
+                        c, far_links && tier == MemTier::Far);
+                    EXPECT_GT(attach, 0.0);
+                    EXPECT_EQ(noc.walkPathWait(ct, ct), 0.0);
+                    for (TileId t = 0; t < tiles; t++) {
+                        EXPECT_EQ(noc.memPathWait(t, c, tier),
+                                  noc.walkPathWait(t, ct) + attach);
+                        EXPECT_EQ(noc.memResponsePathWait(c, t, tier),
+                                  attach + noc.walkPathWait(ct, t));
+                    }
+                }
             }
         }
     }

@@ -3,7 +3,8 @@
  * Tests for the persistent result store and the sharded runner built
  * on it: binary round-trip of every RunResult field, code-version
  * salting (a version bump re-keys the store), tolerance of truncated
- * and bit-flipped records (skipped as corrupt, never trusted),
+ * and bit-flipped records (skipped as corrupt, never trusted; a
+ * seeded loop also corrupts length fields behind a valid checksum),
  * concurrent writers, warm-start equivalence across runner instances
  * (simulating separate processes), shard partition completeness and
  * disjointness, and shard + merge == unsharded at the result level.
@@ -19,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
 #include "sim/experiment_runner.hh"
 #include "sim/result_store.hh"
 
@@ -52,6 +54,32 @@ recordPathOf(const ResultStore &store, const std::string &dir,
                   static_cast<unsigned long long>(
                       store.keyHash(key)));
     return dir + "/" + name;
+}
+
+/** The raw bytes of the file at `path` (empty if unreadable). */
+std::string
+readBytes(const std::string &path)
+{
+    std::string blob;
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    if (f == nullptr)
+        return blob;
+    char buf[4096];
+    std::size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
+        blob.append(buf, n);
+    std::fclose(f);
+    return blob;
+}
+
+/** Replace the file at `path` with `blob`. */
+void
+writeBytes(const std::string &path, const std::string &blob)
+{
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fwrite(blob.data(), 1, blob.size(), f);
+    std::fclose(f);
 }
 
 /** A RunResult with every field (incl. the vectors) non-default. */
@@ -209,23 +237,9 @@ TEST(ResultStoreTest, TruncatedAndCorruptRecordsAreSkipped)
     const std::string path = recordPathOf(store, dir, "key");
 
     // Read the record back, then truncate it (a torn write).
-    std::string blob;
-    {
-        std::FILE *f = std::fopen(path.c_str(), "rb");
-        ASSERT_NE(f, nullptr);
-        char buf[4096];
-        std::size_t n;
-        while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-            blob.append(buf, n);
-        std::fclose(f);
-    }
+    std::string blob = readBytes(path);
     ASSERT_GT(blob.size(), 64u);
-    {
-        std::FILE *f = std::fopen(path.c_str(), "wb");
-        ASSERT_NE(f, nullptr);
-        std::fwrite(blob.data(), 1, blob.size() / 2, f);
-        std::fclose(f);
-    }
+    writeBytes(path, blob.substr(0, blob.size() / 2));
     RunResult out;
     EXPECT_FALSE(store.load("key", &out));
     EXPECT_GE(store.stats().corrupt, 1u);
@@ -233,12 +247,7 @@ TEST(ResultStoreTest, TruncatedAndCorruptRecordsAreSkipped)
     // Restore with one flipped payload byte: checksum catches it.
     blob[blob.size() / 2] =
         static_cast<char>(blob[blob.size() / 2] ^ 0x40);
-    {
-        std::FILE *f = std::fopen(path.c_str(), "wb");
-        ASSERT_NE(f, nullptr);
-        std::fwrite(blob.data(), 1, blob.size(), f);
-        std::fclose(f);
-    }
+    writeBytes(path, blob);
     EXPECT_FALSE(store.load("key", &out));
     EXPECT_GE(store.stats().corrupt, 2u);
 
@@ -247,6 +256,125 @@ TEST(ResultStoreTest, TruncatedAndCorruptRecordsAreSkipped)
     EXPECT_TRUE(store.load("key", &out));
     EXPECT_EQ(store.stats().evictions, 1u);
     expectEqualResults(sampleResult(1.0), out);
+}
+
+/** Little-endian u32 of `blob` at byte `off`. */
+std::uint32_t
+u32At(const std::string &blob, std::size_t off)
+{
+    std::uint32_t v = 0;
+    for (int i = 3; i >= 0; i--)
+        v = v << 8 | static_cast<unsigned char>(blob[off + i]);
+    return v;
+}
+
+/** Overwrite the little-endian u32 of `blob` at byte `off`. */
+void
+setU32At(std::string &blob, std::size_t off, std::uint32_t v)
+{
+    for (int i = 0; i < 4; i++)
+        blob[off + i] = static_cast<char>(v >> (8 * i));
+}
+
+/**
+ * `body` followed by its valid trailing checksum (FNV-1a 64, little
+ * endian): a mutation sealed this way gets past the checksum and
+ * reaches the record parser.
+ */
+std::string
+sealed(std::string body)
+{
+    std::uint64_t hash = 0xCBF29CE484222325ull;
+    for (const char c : body) {
+        hash ^= static_cast<unsigned char>(c);
+        hash *= 0x100000001B3ull;
+    }
+    for (int i = 0; i < 8; i++)
+        body.push_back(static_cast<char>(hash >> (8 * i)));
+    return body;
+}
+
+TEST(ResultStoreFuzzTest, SeededRecordCorruptionsNeverLoad)
+{
+    // Truncations, bit flips and corrupted length fields of a valid
+    // record must each be rejected and counted as corrupt, never
+    // trusted, crash or read out of bounds (the ASan/UBSan CI job
+    // runs this loop). Truncations and length fields are also
+    // re-sealed with a valid checksum so they reach the parser.
+    const std::string dir = freshDir("fuzz");
+    const std::string version = "fuzz-v1";
+    const std::string key = "cfg:fuzz|mix:1";
+    ResultStore store(dir, version);
+    const RunResult sample = sampleResult(0.25);
+    ASSERT_TRUE(store.save(key, sample));
+    const std::string path = recordPathOf(store, dir, key);
+    const std::string blob = readBytes(path);
+    const std::string body = blob.substr(0, blob.size() - 8);
+    ASSERT_EQ(sealed(body), blob);
+
+    // Counted fields of the payload, located from the record layout
+    // (magic, format, hash, version, key, then the RunResult) and
+    // checked against the sample's sizes so a format change fails
+    // here rather than fuzzing the wrong bytes.
+    std::vector<std::size_t> lengths;
+    std::size_t off = 4 + 4 + 8 + 4 + version.size() + 4 + key.size();
+    for (const std::vector<double> *xs :
+         {&sample.threadInstrs, &sample.threadCycles, &sample.threadIpc,
+          &sample.procThroughput}) {
+        ASSERT_EQ(u32At(blob, off), xs->size());
+        lengths.push_back(off);
+        off += 4 + 8 * xs->size();
+    }
+    off += 17 * 8 + 8 * sample.trafficFlitHops.size();
+    ASSERT_EQ(u32At(blob, off), sample.nocLinks.size());
+    lengths.push_back(off);
+
+    Rng rng(0x5702E);
+    std::uint64_t corrupt = store.stats().corrupt;
+    for (int iter = 0; iter < 600; iter++) {
+        std::string mutated;
+        switch (iter % 4) {
+          case 0: // Torn write: a strict prefix of the file.
+            mutated = blob.substr(0, rng.below(blob.size()));
+            break;
+          case 1: // A prefix of the payload, re-sealed.
+            mutated = sealed(body.substr(0, rng.below(body.size())));
+            break;
+          case 2: { // One flipped bit anywhere, checksum included.
+            mutated = blob;
+            const std::size_t at = rng.below(blob.size());
+            mutated[at] = static_cast<char>(
+                mutated[at] ^ (1 << rng.below(8)));
+            break;
+          }
+          default: { // A counted field rewritten, re-sealed.
+            std::string edited = body;
+            const std::size_t at = lengths[rng.below(lengths.size())];
+            const std::uint32_t was = u32At(body, at);
+            const std::uint32_t values[] = {
+                0u, was - 1, was + 1, 0x7FFFFFFFu, 0xFFFFFFFFu,
+                static_cast<std::uint32_t>(rng.next())};
+            std::uint32_t v = values[rng.below(std::size(values))];
+            if (v == was)
+                v = was + 2;
+            setU32At(edited, at, v);
+            mutated = sealed(std::move(edited));
+            break;
+          }
+        }
+        writeBytes(path, mutated);
+        RunResult out;
+        EXPECT_FALSE(store.load(key, &out)) << "iteration " << iter;
+        EXPECT_EQ(store.stats().corrupt, ++corrupt)
+            << "iteration " << iter;
+    }
+    EXPECT_EQ(store.stats().hits, 0u);
+
+    // The untouched record still loads.
+    writeBytes(path, blob);
+    RunResult out;
+    ASSERT_TRUE(store.load(key, &out));
+    expectEqualResults(sample, out);
 }
 
 TEST(ResultStoreTest, ConcurrentWritersLeaveAConsistentStore)

@@ -265,6 +265,40 @@ TEST(RunnerTest, DefaultModeCountsOnlyBaselineMemo)
     EXPECT_EQ(runner.cacheStats().hits, 1u);
 }
 
+TEST(RunnerTest, MixLargerThanMeshRejectsTheJobSetBeforeAnyJob)
+{
+    SystemConfig cfg = smallConfig();
+    cfg.meshWidth = 2;
+    cfg.meshHeight = 2;
+    // Every scheme is an S-NUCA baseline, so any job that reached
+    // the runner's cache lookup would count a miss.
+    ExperimentRunner runner(
+        runnerOpts(/*workers=*/2, /*memoize=*/true));
+    const SchemeSpec snuca = SchemeSpec::snuca();
+    // A fitting mix queued before an oversized one: neither runs.
+    const std::vector<ExperimentRunner::Job> jobs = {
+        {cfg, snuca, MixSpec::cpu(4, 1)},
+        {cfg, snuca, MixSpec::cpu(5, 2)}};
+    EXPECT_THROW(runner.runAll(jobs), JobSetError);
+    EXPECT_THROW(runner.sweep(cfg, {snuca}, 2,
+                              [](int m) {
+                                  return MixSpec::cpu(4 + m, 1);
+                              }),
+                 JobSetError);
+    try {
+        runner.run(cfg, snuca, MixSpec::cpu(5, 3));
+        ADD_FAILURE() << "oversized mix was not rejected";
+    } catch (const JobSetError &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("5 threads"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("4 tiles"), std::string::npos) << msg;
+    }
+    EXPECT_EQ(runner.cacheStats().misses, 0u);
+    // The same runner still runs a job set that fits.
+    runner.run(cfg, snuca, MixSpec::cpu(4, 1));
+    EXPECT_EQ(runner.cacheStats().misses, 1u);
+}
+
 TEST(RunnerTest, JsonExportContainsPerMixAndAggregateData)
 {
     const SystemConfig cfg = smallConfig();

@@ -333,6 +333,24 @@ TEST(StudyCliTest, InvalidConfigsExitBeforeAnyJob)
     EXPECT_EQ(cli({"run", "fig11", "--shard", "3/2"}), 2);
 }
 
+TEST(StudyCliTest, MixLargerThanMeshExitsBeforeAnyJob)
+{
+    // The mix size is only known inside the study body; the runner
+    // rejects the job set (exit 2) instead of aborting in Platform.
+    const std::vector<std::string> tiny = {
+        "--set", "epochAccesses=500", "--set", "epochs=2",
+        "--set", "warmup=1",          "--set", "mixes=1"};
+    std::vector<std::string> small_mesh = {
+        "run", "fig11", "--set", "meshWidth=2", "--set",
+        "meshHeight=2"};
+    small_mesh.insert(small_mesh.end(), tiny.begin(), tiny.end());
+    EXPECT_EQ(cli(small_mesh), 2);
+    std::vector<std::string> many_apps = {"run", "vic_bankgrain",
+                                          "--set", "apps=100"};
+    many_apps.insert(many_apps.end(), tiny.begin(), tiny.end());
+    EXPECT_EQ(cli(many_apps), 2);
+}
+
 std::string
 runStudyWithWorkers(const char *name, const Overrides &ov,
                     unsigned workers)
