@@ -1,6 +1,8 @@
 #include "cache/partitioned_bank.hh"
 
+#include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "common/log.hh"
 
@@ -10,11 +12,18 @@ namespace cdcs
 PartitionedBank::PartitionedBank(std::uint64_t num_lines,
                                  std::uint32_t num_ways,
                                  std::uint64_t hash_seed)
-    : array(static_cast<std::uint32_t>(num_lines / num_ways), num_ways,
-            hash_seed)
+    : sets(static_cast<std::uint32_t>(num_ways > 0 ? num_lines / num_ways
+                                                   : 0)),
+      ways(num_ways), seed(hash_seed), records(num_lines),
+      // Entry 0 exists from the start: invalid records carry vc 0, and
+      // victim selection reads their VC's flag without a bounds check.
+      vcOccupancy(1, 0), vcTarget(1, unmanagedTarget), vcOverBudget(1, 0)
 {
+    cdcs_assert(ways > 0, "associativity must be positive");
     cdcs_assert(num_lines % num_ways == 0,
                 "bank lines must be a multiple of associativity");
+    cdcs_assert(sets > 0 && (sets & (sets - 1)) == 0,
+                "set count must be a power of two");
 }
 
 void
@@ -23,92 +32,143 @@ PartitionedBank::growTables(VcId vc)
     if (vc >= vcOccupancy.size()) {
         vcOccupancy.resize(vc + 1, 0);
         vcTarget.resize(vc + 1, unmanagedTarget);
+        vcOverBudget.resize(vc + 1, 0);
     }
 }
 
-std::uint32_t
-PartitionedBank::pickVictim(std::uint32_t set, VcId /*vc*/)
+TagRecord *
+PartitionedBank::find(LineAddr addr)
 {
-    // Victim priority: (1) LRU line of an over-budget VC — including
-    // the inserting VC itself once it exceeds its own target, which is
-    // what keeps unallocated capacity unused (Sec. IV-C); (2) an
-    // invalid way (partitions still growing toward their targets);
-    // (3) the set's global LRU (set-level skew with all VCs at
-    // target).
-    std::uint32_t over_budget_way = array.numWays();
-    std::uint64_t over_budget_lru = std::numeric_limits<std::uint64_t>::max();
-    std::uint32_t invalid_way = array.numWays();
-    std::uint32_t global_way = 0;
-    std::uint64_t global_lru = std::numeric_limits<std::uint64_t>::max();
+    return const_cast<TagRecord *>(std::as_const(*this).find(addr));
+}
 
-    for (std::uint32_t w = 0; w < array.numWays(); w++) {
-        const CacheLine &line = array.entry(set, w);
-        if (!line.valid) {
-            if (invalid_way == array.numWays())
-                invalid_way = w;
-            continue;
-        }
-        if (line.lruStamp < global_lru) {
-            global_lru = line.lruStamp;
-            global_way = w;
-        }
-        const std::uint64_t occ =
-            line.vc < vcOccupancy.size() ? vcOccupancy[line.vc] : 0;
-        const std::uint64_t tgt = line.vc < vcTarget.size()
-            ? vcTarget[line.vc] : unmanagedTarget;
-        if (occ > tgt && line.lruStamp < over_budget_lru) {
-            over_budget_lru = line.lruStamp;
-            over_budget_way = w;
-        }
+const TagRecord *
+PartitionedBank::find(LineAddr addr) const
+{
+    const TagRecord *set = setBase(setOf(addr));
+    for (std::uint32_t w = 0; w < ways; w++) {
+        if (set[w].addr == addr && set[w].stamp != 0)
+            return &set[w];
     }
-    if (over_budget_way < array.numWays())
-        return over_budget_way;
-    if (invalid_way < array.numWays())
-        return invalid_way;
-    return global_way;
+    return nullptr;
+}
+
+std::uint32_t
+PartitionedBank::touch()
+{
+    if (lruClock == std::numeric_limits<std::uint32_t>::max())
+        renormalizeStamps();
+    return ++lruClock;
 }
 
 void
-PartitionedBank::noteEviction(const CacheLine &line)
+PartitionedBank::renormalizeStamps()
 {
-    cdcs_assert(line.vc < vcOccupancy.size() && vcOccupancy[line.vc] > 0,
-                "eviction from VC with zero occupancy");
-    vcOccupancy[line.vc]--;
-    totalValid--;
+    std::vector<TagRecord *> order;
+    order.reserve(ways);
+    for (std::uint32_t s = 0; s < sets; s++) {
+        order.clear();
+        TagRecord *set = setBase(s);
+        for (std::uint32_t w = 0; w < ways; w++) {
+            if (set[w].stamp != 0)
+                order.push_back(&set[w]);
+        }
+        std::sort(order.begin(), order.end(),
+                  [](const TagRecord *a, const TagRecord *b) {
+                      return a->stamp < b->stamp;
+                  });
+        for (std::size_t i = 0; i < order.size(); i++)
+            order[i]->stamp = static_cast<std::uint32_t>(i + 1);
+    }
+    // Every renumbered stamp is at most `ways`.
+    lruClock = ways;
 }
 
-bool
-PartitionedBank::probeHit(LineAddr addr, VcId vc, TileId core)
+void
+PartitionedBank::startClockAt(std::uint32_t stamp)
 {
-    CacheLine *line = array.probe(addr);
-    if (line == nullptr)
-        return false;
-    cdcs_assert(line->vc == vc, "line owned by a different VC");
-    line->sharers |= 1ull << (core % 64);
-    return true;
+    cdcs_assert(stamp >= lruClock, "the LRU clock never runs backwards");
+    lruClock = stamp;
 }
 
 std::uint32_t
-PartitionedBank::pickOwnVictim(std::uint32_t set, VcId vc) const
+PartitionedBank::pickVictim(const TagRecord *set) const
 {
-    std::uint32_t own_way = array.numWays();
-    std::uint64_t own_lru = std::numeric_limits<std::uint64_t>::max();
-    for (std::uint32_t w = 0; w < array.numWays(); w++) {
-        const CacheLine &line = array.entry(set, w);
-        if (line.valid && line.vc == vc && line.lruStamp < own_lru) {
-            own_lru = line.lruStamp;
-            own_way = w;
+    // Victim priority: (1) LRU line of an over-budget VC — including
+    // the inserting VC itself once it exceeds its own target, which is
+    // what keeps unallocated capacity unused (Sec. IV-C); (2) the first
+    // invalid way (partitions still growing toward their targets);
+    // (3) the set's global LRU (set-level skew with all VCs at
+    // target). Valid stamps are distinct, so the argmin is unique
+    // except among invalid ways, where the strict compare keeps the
+    // first.
+    std::uint64_t best = std::numeric_limits<std::uint64_t>::max();
+    std::uint32_t victim = 0;
+    for (std::uint32_t w = 0; w < ways; w++) {
+        const TagRecord &rec = set[w];
+        const std::uint64_t cls =
+            rec.stamp == 0 ? 1 : (vcOverBudget[rec.vc] != 0 ? 0 : 2);
+        const std::uint64_t key = cls << 32 | rec.stamp;
+        if (key < best) {
+            best = key;
+            victim = w;
         }
     }
-    return own_way;
+    return victim;
+}
+
+std::uint32_t
+PartitionedBank::pickOwnVictim(const TagRecord *set, VcId vc) const
+{
+    constexpr std::uint64_t none = std::numeric_limits<std::uint64_t>::max();
+    std::uint64_t best = none;
+    std::uint32_t victim = ways;
+    for (std::uint32_t w = 0; w < ways; w++) {
+        const TagRecord &rec = set[w];
+        const std::uint64_t key =
+            rec.stamp != 0 && rec.vc == vc ? rec.stamp : none;
+        if (key < best) {
+            best = key;
+            victim = w;
+        }
+    }
+    return victim;
 }
 
 bool
 PartitionedBank::atTarget(VcId vc) const
 {
-    if (vc >= vcTarget.size() || vcTarget[vc] == unmanagedTarget)
+    return vcTarget[vc] != unmanagedTarget &&
+        vcOccupancy[vc] >= vcTarget[vc];
+}
+
+void
+PartitionedBank::dropLine(TagRecord &rec)
+{
+    cdcs_assert(vcOccupancy[rec.vc] > 0,
+                "eviction from VC with zero occupancy");
+    vcOccupancy[rec.vc]--;
+    updateOverBudget(rec.vc);
+    totalValid--;
+    rec.stamp = 0;
+}
+
+bool
+PartitionedBank::probeHit(LineAddr addr, VcId vc, TileId core)
+{
+    TagRecord *rec = find(addr);
+    if (rec == nullptr)
         return false;
-    return vcOccupancy[vc] >= vcTarget[vc];
+    cdcs_assert(rec->vc == vc, "line owned by a different VC");
+    rec->stamp = touch();
+    rec->sharers |= 1ull << (core % 64);
+    return true;
+}
+
+bool
+PartitionedBank::contains(LineAddr addr) const
+{
+    return find(addr) != nullptr;
 }
 
 BankAccessResult
@@ -117,7 +177,7 @@ PartitionedBank::insertLine(LineAddr addr, VcId vc,
 {
     growTables(vc);
     BankAccessResult res;
-    const std::uint32_t set = array.setOf(addr);
+    TagRecord *set = setBase(setOf(addr));
 
     std::uint32_t way;
     if (atTarget(vc)) {
@@ -125,25 +185,28 @@ PartitionedBank::insertLine(LineAddr addr, VcId vc,
         // only replace its own lines; if it owns none in this set,
         // the fill is dropped rather than displacing another VC.
         way = pickOwnVictim(set, vc);
-        if (way >= array.numWays()) {
+        if (way >= ways) {
             res.bypassed = true;
             return res;
         }
     } else {
-        way = pickVictim(set, vc);
+        way = pickVictim(set);
     }
 
-    CacheLine &victim = array.entry(set, way);
-    if (victim.valid) {
+    TagRecord &rec = set[way];
+    if (rec.stamp != 0) {
         res.evicted = true;
-        res.evictedAddr = victim.addr;
-        res.evictedVc = victim.vc;
-        res.evictedSharers = victim.sharers;
-        noteEviction(victim);
+        res.evictedAddr = rec.addr;
+        res.evictedVc = rec.vc;
+        res.evictedSharers = rec.sharers;
+        dropLine(rec);
     }
-    CacheLine &filled = array.install(addr, vc, way);
-    filled.sharers = sharers;
+    rec.addr = addr;
+    rec.sharers = sharers;
+    rec.vc = vc;
+    rec.stamp = touch();
     vcOccupancy[vc]++;
+    updateOverBudget(vc);
     totalValid++;
     return res;
 }
@@ -168,12 +231,11 @@ PartitionedBank::access(LineAddr addr, VcId vc, TileId core)
 bool
 PartitionedBank::extractForMove(LineAddr addr, CacheLine &out)
 {
-    CacheLine *line = array.probe(addr);
-    if (line == nullptr)
+    TagRecord *rec = find(addr);
+    if (rec == nullptr)
         return false;
-    out = *line;
-    noteEviction(*line);
-    line->valid = false;
+    out = {rec->addr, rec->vc, rec->sharers};
+    dropLine(*rec);
     return true;
 }
 
@@ -194,11 +256,10 @@ PartitionedBank::installMoved(const CacheLine &moved, VcId vc)
 bool
 PartitionedBank::invalidateLine(LineAddr addr)
 {
-    CacheLine *line = array.probe(addr);
-    if (line == nullptr)
+    TagRecord *rec = find(addr);
+    if (rec == nullptr)
         return false;
-    noteEviction(*line);
-    line->valid = false;
+    dropLine(*rec);
     return true;
 }
 
@@ -207,13 +268,14 @@ PartitionedBank::setTarget(VcId vc, std::uint64_t target_lines)
 {
     growTables(vc);
     vcTarget[vc] = target_lines;
+    updateOverBudget(vc);
 }
 
 void
 PartitionedBank::clearTargets()
 {
-    for (auto &t : vcTarget)
-        t = unmanagedTarget;
+    std::fill(vcTarget.begin(), vcTarget.end(), unmanagedTarget);
+    std::fill(vcOverBudget.begin(), vcOverBudget.end(), 0);
 }
 
 std::uint64_t
@@ -228,68 +290,13 @@ PartitionedBank::target(VcId vc) const
     return vc < vcTarget.size() ? vcTarget[vc] : unmanagedTarget;
 }
 
-bool
-PartitionedBank::walkInvalidate(std::uint32_t num_sets,
-                                const std::function<bool(const CacheLine &)>
-                                    &should_go,
-                                std::uint64_t &invalidated)
-{
-    for (std::uint32_t i = 0; i < num_sets; i++) {
-        if (walkCursor >= array.numSets()) {
-            walkCursor = 0;
-            return true;
-        }
-        for (std::uint32_t w = 0; w < array.numWays(); w++) {
-            CacheLine &line = array.entry(walkCursor, w);
-            if (line.valid && should_go(line)) {
-                noteEviction(line);
-                line.valid = false;
-                invalidated++;
-            }
-        }
-        walkCursor++;
-    }
-    if (walkCursor >= array.numSets()) {
-        walkCursor = 0;
-        return true;
-    }
-    return false;
-}
-
-bool
-PartitionedBank::walkCollect(std::uint32_t num_sets,
-                             const std::function<bool(const CacheLine &)>
-                                 &should_go,
-                             std::vector<CacheLine> &out)
-{
-    for (std::uint32_t i = 0; i < num_sets; i++) {
-        if (walkCursor >= array.numSets()) {
-            walkCursor = 0;
-            return true;
-        }
-        for (std::uint32_t w = 0; w < array.numWays(); w++) {
-            CacheLine &line = array.entry(walkCursor, w);
-            if (line.valid && should_go(line)) {
-                out.push_back(line);
-                noteEviction(line);
-                line.valid = false;
-            }
-        }
-        walkCursor++;
-    }
-    if (walkCursor >= array.numSets()) {
-        walkCursor = 0;
-        return true;
-    }
-    return false;
-}
-
 void
 PartitionedBank::invalidateAll()
 {
-    array.invalidateAll();
-    for (auto &occ : vcOccupancy)
-        occ = 0;
+    for (TagRecord &rec : records)
+        rec.stamp = 0;
+    std::fill(vcOccupancy.begin(), vcOccupancy.end(), 0);
+    std::fill(vcOverBudget.begin(), vcOverBudget.end(), 0);
     totalValid = 0;
     walkCursor = 0;
 }

@@ -103,31 +103,16 @@ PartitionedNucaPolicy::relocateInstant(std::vector<PartitionedBank> &banks)
     // Collect every out-of-place line first, then install, so a moved
     // line is never re-examined mid-walk.
     std::vector<CacheLine> movers;
-    std::uint64_t extracted = 0;
     for (std::size_t b = 0; b < banks.size(); b++) {
-        const auto bank_id = static_cast<TileId>(b);
-        std::vector<CacheLine> local;
-        const CacheArray &arr = banks[b].rawArray();
-        for (std::uint32_t s = 0; s < arr.numSets(); s++) {
-            for (std::uint32_t w = 0; w < arr.numWays(); w++) {
-                const CacheLine &line = arr.entry(s, w);
-                if (line.valid && homeBank(line.vc, line.addr) != bank_id)
-                    local.push_back(line);
-            }
-        }
-        for (const CacheLine &line : local) {
-            CacheLine moved;
-            if (banks[b].extractForMove(line.addr, moved)) {
-                movers.push_back(moved);
-                extracted++;
-            }
-        }
+        banks[b].resetWalk();
+        banks[b].walkCollect(banks[b].numSets(), movedAway(b),
+                             movers);
     }
     for (const CacheLine &line : movers) {
         const TileId home = homeBank(line.vc, line.addr);
         banks[home].installMoved(line, line.vc);
     }
-    return extracted;
+    return movers.size();
 }
 
 std::uint64_t
@@ -135,14 +120,9 @@ PartitionedNucaPolicy::invalidateBulk(std::vector<PartitionedBank> &banks)
 {
     std::uint64_t invalidated = 0;
     for (std::size_t b = 0; b < banks.size(); b++) {
-        const auto bank_id = static_cast<TileId>(b);
         banks[b].resetWalk();
-        banks[b].walkInvalidate(
-            banks[b].numSets(),
-            [this, bank_id](const CacheLine &line) {
-                return homeBank(line.vc, line.addr) != bank_id;
-            },
-            invalidated);
+        banks[b].walkInvalidate(banks[b].numSets(), movedAway(b),
+                                invalidated);
     }
     return invalidated;
 }
@@ -157,13 +137,8 @@ PartitionedNucaPolicy::endEpoch(const RuntimeInput &input,
     if (walkActive) {
         std::uint64_t dropped = 0;
         for (std::size_t b = 0; b < banks.size(); b++) {
-            const auto bank_id = static_cast<TileId>(b);
-            banks[b].walkInvalidate(
-                banks[b].numSets(),
-                [this, bank_id](const CacheLine &line) {
-                    return homeBank(line.vc, line.addr) != bank_id;
-                },
-                dropped);
+            banks[b].walkInvalidate(banks[b].numSets(), movedAway(b),
+                                    dropped);
         }
         for (auto &vtb : vtbs)
             vtb.finishReconfig();
@@ -249,13 +224,7 @@ PartitionedNucaPolicy::advanceWalk(Cycles elapsed,
         // first so a moved line is not re-examined mid-walk.
         std::vector<CacheLine> movers;
         for (std::size_t b = 0; b < banks.size(); b++) {
-            const auto bank_id = static_cast<TileId>(b);
-            banks[b].walkCollect(
-                delta,
-                [this, bank_id](const CacheLine &line) {
-                    return homeBank(line.vc, line.addr) != bank_id;
-                },
-                movers);
+            banks[b].walkCollect(delta, movedAway(b), movers);
         }
         for (const CacheLine &line : movers) {
             banks[homeBank(line.vc, line.addr)].installMoved(line,
@@ -264,13 +233,8 @@ PartitionedNucaPolicy::advanceWalk(Cycles elapsed,
         invalidated = movers.size();
     } else {
         for (std::size_t b = 0; b < banks.size(); b++) {
-            const auto bank_id = static_cast<TileId>(b);
-            banks[b].walkInvalidate(
-                delta,
-                [this, bank_id](const CacheLine &line) {
-                    return homeBank(line.vc, line.addr) != bank_id;
-                },
-                invalidated);
+            banks[b].walkInvalidate(delta, movedAway(b),
+                                    invalidated);
         }
     }
     setsWalked = target;

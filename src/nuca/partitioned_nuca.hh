@@ -122,6 +122,16 @@ class PartitionedNucaPolicy : public NucaPolicy
         return descriptors[vc].bankOf(line);
     }
 
+    /** Walk predicate: a line in `bank` whose home is now elsewhere. */
+    auto
+    movedAway(std::size_t bank) const
+    {
+        return [this, bank_id = static_cast<TileId>(bank)](
+                   const TagRecord &line) {
+            return homeBank(line.vc, line.addr) != bank_id;
+        };
+    }
+
     /** Build descriptors + bank targets from an allocation matrix. */
     void applyAllocation(const std::vector<std::vector<double>> &alloc,
                          std::vector<PartitionedBank> &banks);

@@ -149,7 +149,7 @@ TEST(PartitionedNucaTest, BulkInvalidationPausesAndDropsLines)
     int resident = 0;
     for (TileId b = 0; b < 4; b++) {
         for (LineAddr a = 0; a < 200; a++) {
-            if (fx.banks[b].rawArray().peek(a) != nullptr)
+            if (fx.banks[b].contains(a))
                 resident++;
         }
     }
