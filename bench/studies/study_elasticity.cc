@@ -76,7 +76,6 @@ const StudyRegistrar registrar([] {
     spec.category = "ablation";
     spec.defaultMixes = 2;
     spec.lineup = {"snuca", "jigsaw-r", "cdcs"};
-    spec.repeatedLineup = true; // One sweep per churn level.
     // Churn needs room: a window before, between and after the two
     // events. --set epochs/warmup still override.
     spec.configure = [](SystemConfig &cfg) {
@@ -155,7 +154,7 @@ const StudyRegistrar registrar([] {
 
         // Per-event elasticity metrics, mean over mixes and the two
         // events. The per-mix runs were all simulated by the sweeps
-        // above, so these lookups come out of the result cache.
+        // above, so these lookups come out of the runner's memo.
         const auto run_of = [&](std::size_t l, std::size_t s,
                                 int m) {
             SystemConfig cfg = ctx.cfg;

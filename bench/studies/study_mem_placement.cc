@@ -8,7 +8,7 @@
  * saturated controllers, priced on the NoC's measured route waits.
  * Each policy runs the contended lineup over a sweep of injection
  * scales (mix seeds shared with the noc studies, so batched
- * invocations share runs through the result cache).
+ * invocations share runs through the runner's memo).
  *
  * Expected shape: `first-touch` beats `interleave` on the mem-route
  * wait by shortening LLC-to-memory routes; at saturating scales
@@ -39,7 +39,6 @@ const StudyRegistrar registrar([] {
     spec.category = "ablation";
     spec.defaultMixes = 2;
     spec.lineup = {"snuca", "rnuca", "jigsaw-r", "cdcs"};
-    spec.repeatedLineup = true; // One sweep per (policy, scale).
     spec.run = [](StudyContext &ctx) {
         ctx.header();
         const std::vector<SchemeSpec> schemes = ctx.lineup();

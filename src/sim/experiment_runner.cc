@@ -130,8 +130,13 @@ ExperimentRunner::ExperimentRunner(Options options)
                 "shard index out of range");
     if (!opts.cacheDir.empty()) {
         resultStore = std::make_unique<ResultStore>(opts.cacheDir);
-        if (!resultStore->ok())
+        if (!resultStore->ok()) {
+            std::fprintf(stderr,
+                         "[result-store] %s — persistent cache "
+                         "disabled\n",
+                         resultStore->error().c_str());
             resultStore.reset();
+        }
     }
     // Sharding partitions on the store's salted content hash and is
     // only useful when shards can exchange results through a store.
@@ -178,7 +183,7 @@ ExperimentRunner::cacheStats() const
 {
     std::lock_guard<std::mutex> lock(cacheMu);
     CacheStats snapshot = stats;
-    snapshot.entries = cache.size();
+    snapshot.entries = memo.size();
     if (resultStore != nullptr) {
         const ResultStoreStats ss = resultStore->stats();
         snapshot.persistent = true;
@@ -268,39 +273,30 @@ ExperimentRunner::checkJobs(const std::vector<Job> &jobs)
 RunResult
 ExperimentRunner::runJob(const Job &job)
 {
-    const bool cacheable = opts.cacheResults ||
-        (opts.memoizeBaseline &&
-         job.scheme.kind == SchemeKind::SNuca);
     const bool sharded = opts.shardCount > 1;
-    std::string key;
-    std::uint64_t hash = 0;
-    if (cacheable || sharded)
-        key = cacheKey(job.cfg, job.scheme, job.mix);
-    if (sharded)
-        hash = resultStore->keyHash(key);
-    if (cacheable) {
-        bool hit = false;
-        RunResult cached;
-        {
-            std::lock_guard<std::mutex> lock(cacheMu);
-            const auto it = cache.find(key);
-            if (it != cache.end()) {
-                stats.hits++;
-                hit = true;
-                cached = it->second;
-            } else {
-                stats.misses++;
-            }
+    std::string key = cacheKey(job.cfg, job.scheme, job.mix);
+    const std::uint64_t hash = sharded ? resultStore->keyHash(key) : 0;
+    bool hit = false;
+    RunResult cached;
+    {
+        std::lock_guard<std::mutex> lock(cacheMu);
+        const auto it = memo.find(key);
+        if (it != memo.end()) {
+            stats.hits++;
+            hit = true;
+            cached = it->second;
+        } else {
+            stats.misses++;
         }
-        if (hit) {
-            if (sharded)
-                noteCell(hash, CellAction::MemHit);
-            return cached;
-        }
+    }
+    if (hit) {
+        if (sharded)
+            noteCell(hash, CellAction::MemHit);
+        return cached;
     }
     // Persistent tier: another process (a previous invocation, a
     // sibling shard, a warm CI rerun) may already have this cell.
-    if (cacheable && resultStore != nullptr) {
+    if (resultStore != nullptr) {
         RunResult stored;
         bool found;
         {
@@ -310,14 +306,7 @@ ExperimentRunner::runJob(const Job &job)
         if (found) {
             {
                 std::lock_guard<std::mutex> lock(cacheMu);
-                if (cache.emplace(key, stored).second) {
-                    cacheFifo.push_back(key);
-                    while (cache.size() > opts.cacheBudget) {
-                        cache.erase(cacheFifo.front());
-                        cacheFifo.pop_front();
-                        stats.evictions++;
-                    }
-                }
+                memo.emplace(std::move(key), stored);
             }
             if (sharded)
                 noteCell(hash, CellAction::StoreHit);
@@ -325,9 +314,10 @@ ExperimentRunner::runJob(const Job &job)
         }
     }
     // Shard partition: only the owning shard simulates a cell that
-    // no cache tier could serve. The zero result makes the shard's
-    // own stdout meaningless by design; `merge` re-reads the fully
-    // populated store to produce the real, byte-identical report.
+    // neither the memo nor the store could serve. The zero result
+    // makes the shard's own stdout meaningless by design; `merge`
+    // re-reads the fully populated store to produce the real,
+    // byte-identical report.
     if (sharded &&
         hash % static_cast<std::uint64_t>(opts.shardCount) !=
             static_cast<std::uint64_t>(opts.shardIndex)) {
@@ -336,37 +326,26 @@ ExperimentRunner::runJob(const Job &job)
         stats.shardSkipped++;
         return RunResult{};
     }
-    // One span per simulated job, on whichever worker ran it; cache
-    // hits deliberately emit nothing (near-zero duration, and the
-    // interesting question is where simulation time goes).
+    // One span per simulated job, on whichever worker ran it; memo
+    // and store hits deliberately emit nothing (near-zero duration,
+    // and the interesting question is where simulation time goes).
     TraceSpan job_span(Tracer::enabled()
                            ? job.scheme.name + " mix" +
                                std::to_string(job.mix.seed)
                            : std::string());
     RunResult res = runScheme(job.cfg, job.scheme, job.mix);
-    if (cacheable) {
-        // Write-back to the persistent tier first: the in-memory
-        // insert below consumes `key`.
-        if (resultStore != nullptr) {
-            ProfTimer timer(ProfPhase::CacheIo);
-            resultStore->save(key, res);
-        }
-        {
-            std::lock_guard<std::mutex> lock(cacheMu);
-            // Two workers can race to compute the same key; the first
-            // insert wins and the FIFO tracks only successful inserts.
-            if (cache.emplace(key, res).second) {
-                cacheFifo.push_back(std::move(key));
-                while (cache.size() > opts.cacheBudget) {
-                    cache.erase(cacheFifo.front());
-                    cacheFifo.pop_front();
-                    stats.evictions++;
-                }
-            }
-        }
-        if (sharded)
-            noteCell(hash, CellAction::Simulated);
+    if (resultStore != nullptr) {
+        ProfTimer timer(ProfPhase::CacheIo);
+        resultStore->save(key, res);
     }
+    {
+        std::lock_guard<std::mutex> lock(cacheMu);
+        // Two workers can race to compute the same key; the first
+        // insert wins (both results are identical).
+        memo.emplace(std::move(key), res);
+    }
+    if (sharded)
+        noteCell(hash, CellAction::Simulated);
     return res;
 }
 

@@ -2,9 +2,10 @@
  * @file
  * The parallel experiment engine behind every figure sweep: shards
  * individual (scheme, mix) runs — not just mixes — across a
- * work-stealing pool, memoizes the shared S-NUCA baseline, and
- * aggregates per-scheme weighted speedups, latency, traffic and
- * energy into a structured SweepResult with optional JSON export.
+ * work-stealing pool, memoizes every run over an optional on-disk
+ * ResultStore, and aggregates per-scheme weighted speedups, latency,
+ * traffic and energy into a structured SweepResult with optional
+ * JSON export.
  *
  * Determinism: every run is a pure function of (SystemConfig,
  * SchemeSpec, MixSpec) — all RNG streams are derived from the config
@@ -17,7 +18,6 @@
 #define CDCS_SIM_EXPERIMENT_RUNNER_HH
 
 #include <array>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -75,8 +75,9 @@ class JobSetError : public std::runtime_error
 
 /**
  * Parallel (scheme, mix) experiment runner. One instance owns a
- * work-stealing pool and a baseline memo; reuse it across sweeps so
- * identical baseline runs are shared.
+ * work-stealing pool and a result memo; reuse it across sweeps and
+ * studies so identical runs (above all the S-NUCA baselines) are
+ * simulated once.
  */
 class ExperimentRunner
 {
@@ -90,28 +91,12 @@ class ExperimentRunner
          */
         unsigned workers = 0;
 
-        /** Share identical S-NUCA baseline runs across sweeps. */
-        bool memoizeBaseline = true;
-
         /**
-         * Opt-in general (cfg, scheme, mix) result cache: any
-         * identical run repeated within the runner's lifetime (the
-         * same study run twice, lineups sharing runs under one
-         * config) is served from the cache, not just S-NUCA
-         * baselines. Studies with disjoint seeds/configs get no
-         * reuse — the footer's hit counter shows what it bought.
-         */
-        bool cacheResults = false;
-
-        /** Max cached entries; FIFO eviction beyond the budget. */
-        std::size_t cacheBudget = 1024;
-
-        /**
-         * Persistent cache tier: directory of the on-disk result
-         * store shared across processes (the `cacheDir` knob).
-         * Empty disables the tier. Cacheable runs missing in memory
-         * are looked up here before simulating, and every simulated
-         * cacheable run is written back.
+         * Persistent tier: directory of the on-disk result store
+         * shared across processes (the `cacheDir` knob). Empty
+         * disables the tier. Runs missing from the memo are looked
+         * up here before simulating, and every simulated run is
+         * written back.
          */
         std::string cacheDir;
 
@@ -119,22 +104,21 @@ class ExperimentRunner
          * Deterministic sweep sharding: this invocation only
          * simulates jobs whose salted content hash satisfies
          * `hash % shardCount == shardIndex`. Non-owned jobs are
-         * served from the cache tiers when possible and otherwise
-         * skipped (returning a zero RunResult), so a shard's own
-         * report output is meaningless — `cdcs_studies merge`
-         * recombines the shards' stores into the real report.
-         * Requires cacheDir.
+         * served from the memo or the store when possible and
+         * otherwise skipped (returning a zero RunResult), so a
+         * shard's own report output is meaningless — `cdcs_studies
+         * merge` recombines the shards' stores into the real report.
+         * Requires a usable cacheDir.
          */
         int shardIndex = 0;
         int shardCount = 1;
     };
 
-    /** Result-cache counters (monotonic over the runner's life). */
+    /** Memo counters (monotonic over the runner's life). */
     struct CacheStats
     {
         std::uint64_t hits = 0;
         std::uint64_t misses = 0;
-        std::uint64_t evictions = 0;
         std::size_t entries = 0;
 
         /** Persistent-tier mirror (all zero without a store). */
@@ -158,7 +142,7 @@ class ExperimentRunner
     explicit ExperimentRunner(Options options);
 
     /**
-     * Run one scheme on one mix (memoized if an S-NUCA baseline).
+     * Run one scheme on one mix (memoized).
      * Like runAll, sweep and runSchemes, throws JobSetError before
      * running anything when the mix does not fit the mesh.
      */
@@ -197,7 +181,7 @@ class ExperimentRunner
 
     const Options &options() const { return opts; }
 
-    /** Snapshot of the result-cache counters. */
+    /** Snapshot of the memo and store counters. */
     CacheStats cacheStats() const;
 
     /** The persistent store, or nullptr when the tier is off. */
@@ -205,7 +189,7 @@ class ExperimentRunner
 
     /**
      * Write the shard manifest (JSON) for a sharded invocation:
-     * every cacheable cell this runner saw, with its content hash,
+     * every cell this runner saw, with its content hash,
      * owning shard and how it was resolved ("simulated", "storeHit",
      * "memHit" or "skipped"). tools/merge_study_json.py checks a
      * shard set's manifests for completeness and disjointness.
@@ -246,12 +230,11 @@ class ExperimentRunner
     std::unique_ptr<ResultStore> resultStore;
     mutable std::mutex cacheMu;
     /**
-     * The result cache. Holds S-NUCA baselines (memoizeBaseline) and,
-     * when cacheResults is on, every run; bounded by cacheBudget with
-     * FIFO eviction (cacheFifo tracks insertion order).
+     * The memo: every (cfg, scheme, mix) run of the runner's life,
+     * unbounded. Every figure divides by the S-NUCA baseline and
+     * studies share cells across lineups, so a process keeps them all.
      */
-    std::unordered_map<std::string, RunResult> cache;
-    std::deque<std::string> cacheFifo;
+    std::unordered_map<std::string, RunResult> memo;
     CacheStats stats;
     /** Per-cell manifest state, hash-sorted (sharded runs only). */
     std::map<std::uint64_t, CellAction> cellActions;

@@ -243,13 +243,6 @@ constexpr Knob kKnobs[] = {
      .env = "CDCS_TABLE3_ITERS",
      .unkeyed = "repetitions of a wall-clock benchmark; reporting-only",
      .doc = "Table 3 invocations per combination."},
-    {.name = "cache", .type = KnobType::Bool, .env = "CDCS_CACHE",
-     .unkeyed = "enables the result cache itself; cached and fresh "
-                "sweeps are identical",
-     .doc = "Opt into the general result cache."},
-    {.name = "cacheBudget", .env = "CDCS_CACHE_BUDGET",
-     .unkeyed = "changes what is cached, never what a run computes",
-     .doc = "Result-cache entry budget."},
     {.name = "cacheDir", .type = KnobType::String,
      .env = "CDCS_CACHE_DIR", .unkeyed = "store location; plumbing only",
      .doc = "Persistent result-store directory."},

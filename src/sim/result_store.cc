@@ -413,19 +413,15 @@ ResultStore::ResultStore(std::string dir, std::string version_)
     if (root.empty())
         return;
     if (!makeDirs(root)) {
-        std::fprintf(stderr,
-                     "[result-store] cannot create '%s': %s — "
-                     "persistent cache disabled\n",
-                     root.c_str(), std::strerror(errno));
+        const std::string why = std::strerror(errno);
+        failure = "cannot create '" + root + "': " + why;
         return;
     }
     const std::string lock_path = root + "/.lock";
     lockFd = ::open(lock_path.c_str(), O_CREAT | O_RDWR, 0644);
     if (lockFd < 0) {
-        std::fprintf(stderr,
-                     "[result-store] cannot open '%s': %s — "
-                     "persistent cache disabled\n",
-                     lock_path.c_str(), std::strerror(errno));
+        const std::string why = std::strerror(errno);
+        failure = "cannot open '" + lock_path + "': " + why;
         return;
     }
     usable = true;

@@ -47,7 +47,8 @@ class ResultStore
      * Open (creating if needed) the store rooted at `dir`. Records
      * are only trusted when their embedded version equals `version`
      * (default: the compiled-in code version). Check ok() before use;
-     * a store that failed to set up its directory ignores all I/O.
+     * a store that failed to set up its directory ignores all I/O and
+     * says why in error().
      */
     explicit ResultStore(std::string dir,
                          std::string version = buildVersion());
@@ -58,6 +59,9 @@ class ResultStore
 
     /** Directory and lock file usable. */
     bool ok() const { return usable; }
+
+    /** One-line reason the store is unusable ("" when ok()). */
+    const std::string &error() const { return failure; }
 
     const std::string &directory() const { return root; }
     const std::string &codeVersion() const { return version; }
@@ -93,6 +97,7 @@ class ResultStore
     std::string root;
     std::string version;
     bool usable = false;
+    std::string failure;
     int lockFd = -1; ///< Advisory writer lock (<root>/.lock).
 
     mutable std::mutex mu;

@@ -74,18 +74,11 @@ StudyRegistrar::StudyRegistrar(StudySpec spec)
 }
 
 ExperimentRunner::Options
-runnerOptions(const Overrides &overrides, bool default_cache)
+runnerOptions(const Overrides &overrides)
 {
     ExperimentRunner::Options opts;
     opts.workers = static_cast<unsigned>(overrides.knob("workers", 0));
     opts.cacheDir = overrides.strKnob("cacheDir", "");
-    // A persistent store is only useful when runs go through the
-    // cache, so cacheDir= implies cache=1 (an explicit --set cache=0
-    // still wins).
-    const bool cache_on = default_cache || !opts.cacheDir.empty();
-    opts.cacheResults = overrides.knob("cache", cache_on ? 1 : 0) != 0;
-    opts.cacheBudget =
-        static_cast<std::size_t>(overrides.knob("cacheBudget", 1024));
     return opts;
 }
 
@@ -143,54 +136,41 @@ runStudy(const StudySpec &spec, const Overrides &overrides,
         std::fprintf(stderr, "%s: %s\n", spec.name.c_str(), e.what());
         return 2;
     }
-    if (runner.options().cacheResults) {
-        // The runner (and cache) is shared across the studies of one
-        // invocation; report this study's delta, not the lifetime
-        // totals. A study that got no hits stays silent, so the
-        // cache-by-default for repeated-lineup studies cannot change
-        // default text output.
-        const ExperimentRunner::CacheStats now = runner.cacheStats();
-        if (now.hits > before.hits) {
-            sink.printf(
-                "[cache: %llu hits, %llu misses, %llu "
-                "evictions, %llu entries]\n",
-                static_cast<unsigned long long>(now.hits -
-                                                before.hits),
-                static_cast<unsigned long long>(now.misses -
-                                                before.misses),
-                static_cast<unsigned long long>(now.evictions -
-                                                before.evictions),
-                static_cast<unsigned long long>(now.entries));
-        }
+    // The runner (memo and store) is shared across the studies of one
+    // invocation; report this study's deltas, not the lifetime totals.
+    // Each footer prints only when there is something to report, so
+    // default text output has none; `--set cacheStats=0` silences
+    // both for byte-diff runs that do hit.
+    const ExperimentRunner::CacheStats now = runner.cacheStats();
+    const bool footers = overrides.knob("cacheStats", 1) != 0;
+    if (footers && now.hits > before.hits) {
+        sink.printf("[cache: %llu hits, %llu misses, %llu entries]\n",
+                    static_cast<unsigned long long>(now.hits -
+                                                    before.hits),
+                    static_cast<unsigned long long>(now.misses -
+                                                    before.misses),
+                    static_cast<unsigned long long>(now.entries));
     }
-    {
-        // Persistent-tier footer: only ever printed when a store is
-        // attached (cacheDir is set, a non-default knob), so default
-        // text output stays byte-identical; `--set cacheStats=0`
-        // silences it for byte-diff runs that do use a store.
-        const ExperimentRunner::CacheStats now = runner.cacheStats();
-        const std::uint64_t delta =
-            (now.storeHits - before.storeHits) +
-            (now.storeMisses - before.storeMisses) +
-            (now.storeEvictions - before.storeEvictions) +
-            (now.storeCorrupt - before.storeCorrupt) +
-            (now.shardSkipped - before.shardSkipped);
-        if (now.persistent && delta > 0 &&
-            overrides.knob("cacheStats", 1) != 0) {
-            sink.printf(
-                "[store: %llu hits, %llu misses, %llu evictions, "
-                "%llu corrupt, %llu skipped]\n",
-                static_cast<unsigned long long>(now.storeHits -
-                                                before.storeHits),
-                static_cast<unsigned long long>(now.storeMisses -
-                                                before.storeMisses),
-                static_cast<unsigned long long>(
-                    now.storeEvictions - before.storeEvictions),
-                static_cast<unsigned long long>(now.storeCorrupt -
-                                                before.storeCorrupt),
-                static_cast<unsigned long long>(now.shardSkipped -
-                                                before.shardSkipped));
-        }
+    const std::uint64_t store_delta =
+        (now.storeHits - before.storeHits) +
+        (now.storeMisses - before.storeMisses) +
+        (now.storeEvictions - before.storeEvictions) +
+        (now.storeCorrupt - before.storeCorrupt) +
+        (now.shardSkipped - before.shardSkipped);
+    if (footers && now.persistent && store_delta > 0) {
+        sink.printf(
+            "[store: %llu hits, %llu misses, %llu evictions, "
+            "%llu corrupt, %llu skipped]\n",
+            static_cast<unsigned long long>(now.storeHits -
+                                            before.storeHits),
+            static_cast<unsigned long long>(now.storeMisses -
+                                            before.storeMisses),
+            static_cast<unsigned long long>(now.storeEvictions -
+                                            before.storeEvictions),
+            static_cast<unsigned long long>(now.storeCorrupt -
+                                            before.storeCorrupt),
+            static_cast<unsigned long long>(now.shardSkipped -
+                                            before.shardSkipped));
     }
     if (timing_on) {
         const std::chrono::duration<double> wall = // lint:allow(wallclock)
@@ -450,26 +430,23 @@ studiesCliMain(int argc, char **argv)
         return 2;
     }
 
-    // Repeated-lineup studies opt the shared runner into the result
-    // cache unless the user said otherwise.
-    bool any_repeated = false;
-    for (const StudySpec *spec : specs)
-        any_repeated = any_repeated || spec->repeatedLineup;
-    ExperimentRunner::Options ropts =
-        runnerOptions(overrides, any_repeated);
+    ExperimentRunner::Options ropts = runnerOptions(overrides);
     if (sharded || merge) {
+        const char *what = merge ? "merge" : "--shard";
         if (ropts.cacheDir.empty()) {
             std::fprintf(stderr,
                          "%s requires a result store: --set "
                          "cacheDir=DIR\n",
-                         merge ? "merge" : "--shard");
+                         what);
             return 2;
         }
-        if (!ropts.cacheResults) {
+        // A merge over a store it cannot read would re-simulate every
+        // cell, and a shard could not publish its own.
+        const ResultStore probe(ropts.cacheDir);
+        if (!probe.ok()) {
             std::fprintf(stderr,
-                         "%s requires the result cache (remove "
-                         "cache=0)\n",
-                         merge ? "merge" : "--shard");
+                         "%s requires a usable result store: %s\n",
+                         what, probe.error().c_str());
             return 2;
         }
         if (sharded) {

@@ -44,15 +44,6 @@ struct StudySpec
     /** Fallback of the `mixes` knob. */
     int defaultMixes = 4;
     /**
-     * Declares that the study re-runs its lineup several times
-     * (derived variants, scaling loops), so identical (cfg, scheme,
-     * mix) runs can recur within one invocation. Such studies get
-     * the general result cache enabled by default (`--set cache=0`
-     * still wins); the cache footer is only printed when hits
-     * actually occur, so default text output is unchanged.
-     */
-    bool repeatedLineup = false;
-    /**
      * The registered base schemes the study builds from, by
      * SchemeRegistry name (what ctx.lineup() resolves). Bodies may
      * derive further variants (fig17's move schemes, vic_monitors'
@@ -124,14 +115,8 @@ struct StudyRegistrar
     explicit StudyRegistrar(StudySpec spec);
 };
 
-/**
- * Runner options resolved from the knobs: workers, result-cache
- * opt-in (`cache`) and budget. `default_cache` is the fallback when
- * the `cache` knob is unset (true when any study of the batch
- * declares a repeated lineup).
- */
-ExperimentRunner::Options
-runnerOptions(const Overrides &overrides, bool default_cache = false);
+/** Runner options resolved from the knobs: workers and cacheDir. */
+ExperimentRunner::Options runnerOptions(const Overrides &overrides);
 
 /**
  * Resolve a study's config (benchConfig() < environment <
@@ -143,8 +128,9 @@ bool studyConfig(const StudySpec &spec, const Overrides &overrides,
 
 /**
  * Run one study: resolve its config and mix count, run the body, and
- * emit the cache footer when the result cache is enabled. Returns 0
- * on success, 2 (with a message on stderr) for an invalid config.
+ * emit the memo/store footers when the study was served from them.
+ * Returns 0 on success, 2 (with a message on stderr) for an invalid
+ * config.
  */
 int runStudy(const StudySpec &spec, const Overrides &overrides,
              ExperimentRunner &runner, ReportSink &sink);

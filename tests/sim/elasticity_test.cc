@@ -137,7 +137,6 @@ TEST(ElasticityTest, TrafficKnobsKeyTheResultCache)
 {
     ExperimentRunner::Options opts;
     opts.workers = 1;
-    opts.cacheResults = true;
     ExperimentRunner runner(opts);
 
     SystemConfig cfg = churnConfig();

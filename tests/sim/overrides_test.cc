@@ -124,8 +124,8 @@ TEST(OverridesTest, BoolKnobAcceptsWordForms)
 {
     Overrides ov;
     std::string err;
-    ASSERT_TRUE(ov.add("cache=true", &err)) << err;
-    EXPECT_EQ(ov.knob("cache", 0), 1u);
+    ASSERT_TRUE(ov.add("timing=true", &err)) << err;
+    EXPECT_EQ(ov.knob("timing", 0), 1u);
 }
 
 TEST(OverridesEnvTest, EnvironmentSitsBetweenDefaultAndSet)
@@ -184,7 +184,7 @@ TEST(OverridesEnvTest, BadEnvironmentValuesAreRejected)
              {"CDCS_EPOCHS", "abc"},
              {"CDCS_MIXES", "-1"},
              {"CDCS_WORKERS", "4 "},
-             {"CDCS_CACHE", "maybe"}}) {
+             {"CDCS_TIMING", "maybe"}}) {
         ::setenv(name, value, 1);
         Overrides ov;
         std::string err;

@@ -428,7 +428,6 @@ storeOptions(const std::string &dir, int shard = 0, int shards = 1)
 {
     ExperimentRunner::Options opts;
     opts.workers = 2;
-    opts.cacheResults = true;
     opts.cacheDir = dir;
     opts.shardIndex = shard;
     opts.shardCount = shards;
@@ -476,7 +475,7 @@ TEST(ShardedRunnerTest, ShardsPartitionCellsAndMergeMatchesUnsharded)
     const SystemConfig cfg = tinyConfig();
 
     // Reference: unsharded cold sweep into its own store. Its store
-    // misses count every unique cacheable cell exactly once.
+    // misses count every unique cell exactly once.
     ExperimentRunner ref(storeOptions(dir_ref));
     const SweepResult expect = ref.sweep(cfg, twoSchemes(), 2, mixOf);
     const std::uint64_t cells = ref.cacheStats().storeMisses;

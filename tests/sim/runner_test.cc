@@ -3,11 +3,14 @@
  * Tests for the parallel ExperimentRunner: a sweep must produce
  * bit-identical results whether it runs serially or sharded across
  * the work-stealing pool (guards the per-run RNG-stream invariant),
- * baseline memoization must not change results, and the structured
- * SweepResult/JSON export must be well-formed.
+ * the result memo must not change results and must key every field
+ * that can change a run, and the structured SweepResult/JSON export
+ * must be well-formed.
  */
 
 #include <atomic>
+#include <functional>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -38,11 +41,10 @@ twoSchemes()
 }
 
 ExperimentRunner::Options
-runnerOpts(int workers, bool memoize_baseline)
+runnerOpts(int workers)
 {
     ExperimentRunner::Options opts;
     opts.workers = workers;
-    opts.memoizeBaseline = memoize_baseline;
     return opts;
 }
 
@@ -94,10 +96,8 @@ TEST(RunnerTest, SerialAndParallelSweepsAreBitIdentical)
     const SystemConfig cfg = smallConfig();
     const auto mix_of = [](int m) { return MixSpec::cpu(4, 500 + m); };
 
-    ExperimentRunner serial(
-        runnerOpts(/*workers=*/1, /*memoize=*/true));
-    ExperimentRunner parallel(
-        runnerOpts(/*workers=*/4, /*memoize=*/true));
+    ExperimentRunner serial(runnerOpts(/*workers=*/1));
+    ExperimentRunner parallel(runnerOpts(/*workers=*/4));
 
     const SweepResult a = serial.sweep(cfg, twoSchemes(), 3, mix_of);
     const SweepResult b = parallel.sweep(cfg, twoSchemes(), 3, mix_of);
@@ -106,29 +106,36 @@ TEST(RunnerTest, SerialAndParallelSweepsAreBitIdentical)
 
 TEST(RunnerTest, RepeatedSweepsAreBitIdentical)
 {
+    // A second runner has an empty memo, so it simulates every run
+    // again; the repeat must match bit for bit.
     const SystemConfig cfg = smallConfig();
     const auto mix_of = [](int m) { return MixSpec::cpu(4, 700 + m); };
-    ExperimentRunner runner(
-        runnerOpts(/*workers=*/4, /*memoize=*/false));
-    const SweepResult a = runner.sweep(cfg, twoSchemes(), 2, mix_of);
-    const SweepResult b = runner.sweep(cfg, twoSchemes(), 2, mix_of);
+    ExperimentRunner first(runnerOpts(/*workers=*/4));
+    ExperimentRunner second(runnerOpts(/*workers=*/4));
+    const SweepResult a = first.sweep(cfg, twoSchemes(), 2, mix_of);
+    const SweepResult b = second.sweep(cfg, twoSchemes(), 2, mix_of);
     expectSameSweep(a, b);
+    EXPECT_EQ(first.cacheStats().hits, 0u);
+    EXPECT_EQ(second.cacheStats().hits, 0u);
 }
 
 TEST(RunnerTest, MemoizationDoesNotChangeResults)
 {
+    // A second lineup over the same mixes shares the S-NUCA
+    // baselines with the first: the memoizing runner serves them
+    // from the memo, a fresh runner simulates them.
     const SystemConfig cfg = smallConfig();
     const auto mix_of = [](int m) { return MixSpec::cpu(4, 900 + m); };
-    ExperimentRunner memo(
-        runnerOpts(/*workers=*/2, /*memoize=*/true));
-    ExperimentRunner fresh(
-        runnerOpts(/*workers=*/2, /*memoize=*/false));
-    // Run the memoizing runner twice: the second sweep serves every
-    // S-NUCA baseline from the memo.
+    const std::vector<SchemeSpec> other = {SchemeSpec::snuca(),
+                                           SchemeSpec::rnuca()};
+    ExperimentRunner memo(runnerOpts(/*workers=*/2));
+    ExperimentRunner fresh(runnerOpts(/*workers=*/2));
     memo.sweep(cfg, twoSchemes(), 2, mix_of);
-    const SweepResult a = memo.sweep(cfg, twoSchemes(), 2, mix_of);
-    const SweepResult b = fresh.sweep(cfg, twoSchemes(), 2, mix_of);
+    const SweepResult a = memo.sweep(cfg, other, 2, mix_of);
+    const SweepResult b = fresh.sweep(cfg, other, 2, mix_of);
     expectSameSweep(a, b);
+    EXPECT_EQ(memo.cacheStats().hits, 2u); // One baseline per mix.
+    EXPECT_EQ(fresh.cacheStats().hits, 0u);
 }
 
 TEST(RunnerTest, RunMatchesDirectRunScheme)
@@ -144,8 +151,7 @@ TEST(RunnerTest, RunSchemesKeepsSchemeOrder)
 {
     const SystemConfig cfg = smallConfig();
     const MixSpec mix = MixSpec::cpu(4, 43);
-    ExperimentRunner runner(
-        runnerOpts(/*workers=*/4, /*memoize=*/true));
+    ExperimentRunner runner(runnerOpts(/*workers=*/4));
     const auto results = runner.runSchemes(cfg, twoSchemes(), mix);
     ASSERT_EQ(results.size(), 2u);
     expectSameRun(results[0],
@@ -155,8 +161,7 @@ TEST(RunnerTest, RunSchemesKeepsSchemeOrder)
 
 TEST(RunnerTest, ForEachVisitsEveryIndexOnce)
 {
-    ExperimentRunner runner(
-        runnerOpts(/*workers=*/4, /*memoize=*/true));
+    ExperimentRunner runner(runnerOpts(/*workers=*/4));
     std::vector<std::atomic<int>> hits(128);
     runner.forEach(128, [&](int i) { hits[i].fetch_add(1); });
     for (const auto &h : hits)
@@ -172,8 +177,7 @@ TEST(RunnerTest, SweepHandlesZeroWorkRunsWithoutNan)
     // stay finite (the seed divided by totalInstrs == 0 here).
     SystemConfig cfg = smallConfig();
     cfg.accessesPerThreadEpoch = 0;
-    ExperimentRunner runner(
-        runnerOpts(/*workers=*/1, /*memoize=*/true));
+    ExperimentRunner runner(runnerOpts(/*workers=*/1));
     // Weighted speedup is undefined with a zero-throughput baseline,
     // so sweep() cannot be used; check the per-run aggregation path.
     const RunResult r =
@@ -197,13 +201,9 @@ TEST(RunnerTest, ResultCacheDoesNotChangeResults)
 {
     const SystemConfig cfg = smallConfig();
     const auto mix_of = [](int m) { return MixSpec::cpu(4, 1300 + m); };
-    ExperimentRunner::Options cached_opts;
-    cached_opts.workers = 2;
-    cached_opts.cacheResults = true;
-    ExperimentRunner cached(cached_opts);
-    ExperimentRunner fresh(
-        runnerOpts(/*workers=*/2, /*memoize=*/false));
-    // Second sweep is served entirely from the cache.
+    ExperimentRunner cached(runnerOpts(/*workers=*/2));
+    ExperimentRunner fresh(runnerOpts(/*workers=*/2));
+    // Second sweep is served entirely from the memo.
     cached.sweep(cfg, twoSchemes(), 2, mix_of);
     const SweepResult a = cached.sweep(cfg, twoSchemes(), 2, mix_of);
     const SweepResult b = fresh.sweep(cfg, twoSchemes(), 2, mix_of);
@@ -213,56 +213,89 @@ TEST(RunnerTest, ResultCacheDoesNotChangeResults)
     EXPECT_EQ(stats.misses, 4u);  // 2 schemes x 2 mixes, once.
     EXPECT_EQ(stats.hits, 4u);    // The whole second sweep.
     EXPECT_EQ(stats.entries, 4u);
-    EXPECT_EQ(stats.evictions, 0u);
 }
 
-TEST(RunnerTest, ResultCacheEvictsFifoAtBudget)
+TEST(RunnerTest, EverySchemeAndMixFieldKeysTheMemo)
 {
-    const SystemConfig cfg = smallConfig();
-    ExperimentRunner::Options opts;
-    opts.workers = 1; // Serial: deterministic counter checks.
-    opts.cacheResults = true;
-    opts.cacheBudget = 2;
-    ExperimentRunner runner(opts);
+    // The SchemeSpec and MixSpec sections of the memo key are written
+    // by hand (the config section comes from the knob table, which
+    // KnobTableTest covers). A field left out would alias two
+    // different runs, so every perturbation must add a cell.
+    SystemConfig cfg = smallConfig();
+    cfg.accessesPerThreadEpoch = 300;
+    cfg.epochs = 2;
+    ExperimentRunner runner(runnerOpts(/*workers=*/1));
+    const SchemeSpec base = SchemeSpec::cdcs();
+    MixSpec base_mix = MixSpec::named({"milc", "gcc"}, 7);
+    base_mix.count = 2; // Fits the mesh if the kind flips to Cpu.
+    runner.run(cfg, base, base_mix);
+    ASSERT_EQ(runner.cacheStats().misses, 1u);
 
-    const SchemeSpec cdcs_spec = SchemeSpec::cdcs();
-    const MixSpec a = MixSpec::cpu(4, 1400);
-    const MixSpec b = MixSpec::cpu(4, 1401);
-    const MixSpec c = MixSpec::cpu(4, 1402);
+    const auto expect_new_cell = [&](const SchemeSpec &scheme,
+                                     const MixSpec &mix,
+                                     const char *field) {
+        const ExperimentRunner::CacheStats before = runner.cacheStats();
+        runner.run(cfg, scheme, mix);
+        const ExperimentRunner::CacheStats after = runner.cacheStats();
+        EXPECT_EQ(after.misses, before.misses + 1) << field;
+        EXPECT_EQ(after.hits, before.hits) << field;
+    };
+    const std::vector<std::pair<const char *,
+                                std::function<void(SchemeSpec &)>>>
+        scheme_fields = {
+            {"kind", [](SchemeSpec &s) { s.kind = SchemeKind::RNuca; }},
+            {"moves",
+             [](SchemeSpec &s) { s.moves = MoveScheme::Instant; }},
+            {"sched",
+             [](SchemeSpec &s) { s.sched = InitialSched::Clustered; }},
+            {"monitor",
+             [](SchemeSpec &s) { s.monitor = MonitorKind::Umon; }},
+            {"monitorWays", [](SchemeSpec &s) { s.monitorWays = 32; }},
+            {"monitorSets", [](SchemeSpec &s) { s.monitorSets = 8; }},
+            {"monitorSampleShift",
+             [](SchemeSpec &s) { s.monitorSampleShift = 3; }},
+            {"placer",
+             [](SchemeSpec &s) { s.placer = PlacerKind::Bisection; }},
+            {"saIterations", [](SchemeSpec &s) { s.saIterations = 10; }},
+            {"cdcsOpts.latencyAwareAlloc",
+             [](SchemeSpec &s) { s.cdcsOpts.latencyAwareAlloc = false; }},
+            {"cdcsOpts.placeThreads",
+             [](SchemeSpec &s) { s.cdcsOpts.placeThreads = false; }},
+            {"cdcsOpts.refineTrades",
+             [](SchemeSpec &s) { s.cdcsOpts.refineTrades = false; }},
+            {"cdcsOpts.minAllocLines",
+             [](SchemeSpec &s) { s.cdcsOpts.minAllocLines = 32.0; }},
+            {"cdcsOpts.sizeHysteresis",
+             [](SchemeSpec &s) { s.cdcsOpts.sizeHysteresis = 0.3; }},
+            {"cdcsOpts.placeGranule",
+             [](SchemeSpec &s) { s.cdcsOpts.placeGranule = 128.0; }},
+        };
+    for (const auto &[field, perturb] : scheme_fields) {
+        SchemeSpec scheme = base;
+        perturb(scheme);
+        expect_new_cell(scheme, base_mix, field);
+    }
+    const std::vector<std::pair<const char *,
+                                std::function<void(MixSpec &)>>>
+        mix_fields = {
+            {"mix.kind", [](MixSpec &m) { m.kind = MixSpec::Kind::Cpu; }},
+            {"mix.count", [](MixSpec &m) { m.count = 3; }},
+            {"mix.names", [](MixSpec &m) { m.names[1] = "mcf"; }},
+            {"mix.seed", [](MixSpec &m) { m.seed = 8; }},
+        };
+    for (const auto &[field, perturb] : mix_fields) {
+        MixSpec mix = base_mix;
+        perturb(mix);
+        expect_new_cell(base, mix, field);
+    }
 
-    runner.run(cfg, cdcs_spec, a);
-    runner.run(cfg, cdcs_spec, b);
-    EXPECT_EQ(runner.cacheStats().entries, 2u);
-    runner.run(cfg, cdcs_spec, c); // Evicts a (FIFO).
-    EXPECT_EQ(runner.cacheStats().entries, 2u);
-    EXPECT_EQ(runner.cacheStats().evictions, 1u);
-
-    runner.run(cfg, cdcs_spec, c); // Still cached.
-    EXPECT_EQ(runner.cacheStats().hits, 1u);
-    runner.run(cfg, cdcs_spec, a); // Recompute; evicts b.
-    const ExperimentRunner::CacheStats stats = runner.cacheStats();
-    EXPECT_EQ(stats.misses, 4u);
-    EXPECT_EQ(stats.hits, 1u);
-    EXPECT_EQ(stats.evictions, 2u);
-    EXPECT_EQ(stats.entries, 2u);
-}
-
-TEST(RunnerTest, DefaultModeCountsOnlyBaselineMemo)
-{
-    const SystemConfig cfg = smallConfig();
-    ExperimentRunner runner(
-        runnerOpts(/*workers=*/1, /*memoize=*/true));
-    const MixSpec mix = MixSpec::cpu(4, 1500);
-    // Non-baseline schemes bypass the cache entirely.
-    runner.run(cfg, SchemeSpec::cdcs(), mix);
-    runner.run(cfg, SchemeSpec::cdcs(), mix);
-    EXPECT_EQ(runner.cacheStats().hits, 0u);
-    EXPECT_EQ(runner.cacheStats().misses, 0u);
-    // S-NUCA baselines still memoize.
-    runner.run(cfg, SchemeSpec::snuca(), mix);
-    runner.run(cfg, SchemeSpec::snuca(), mix);
-    EXPECT_EQ(runner.cacheStats().misses, 1u);
-    EXPECT_EQ(runner.cacheStats().hits, 1u);
+    // The name is a label, not behaviour: a renamed scheme hits.
+    const ExperimentRunner::CacheStats before = runner.cacheStats();
+    SchemeSpec renamed = base;
+    renamed.name = "relabelled";
+    runner.run(cfg, renamed, base_mix);
+    EXPECT_EQ(runner.cacheStats().misses, before.misses);
+    EXPECT_EQ(runner.cacheStats().hits, before.hits + 1);
 }
 
 TEST(RunnerTest, MixLargerThanMeshRejectsTheJobSetBeforeAnyJob)
@@ -270,10 +303,9 @@ TEST(RunnerTest, MixLargerThanMeshRejectsTheJobSetBeforeAnyJob)
     SystemConfig cfg = smallConfig();
     cfg.meshWidth = 2;
     cfg.meshHeight = 2;
-    // Every scheme is an S-NUCA baseline, so any job that reached
-    // the runner's cache lookup would count a miss.
-    ExperimentRunner runner(
-        runnerOpts(/*workers=*/2, /*memoize=*/true));
+    // Any job that reached the runner's memo lookup would count a
+    // miss.
+    ExperimentRunner runner(runnerOpts(/*workers=*/2));
     const SchemeSpec snuca = SchemeSpec::snuca();
     // A fitting mix queued before an oversized one: neither runs.
     const std::vector<ExperimentRunner::Job> jobs = {
@@ -302,8 +334,7 @@ TEST(RunnerTest, MixLargerThanMeshRejectsTheJobSetBeforeAnyJob)
 TEST(RunnerTest, JsonExportContainsPerMixAndAggregateData)
 {
     const SystemConfig cfg = smallConfig();
-    ExperimentRunner runner(
-        runnerOpts(/*workers=*/2, /*memoize=*/true));
+    ExperimentRunner runner(runnerOpts(/*workers=*/2));
     const SweepResult sweep = runner.sweep(
         cfg, twoSchemes(), 2,
         [](int m) { return MixSpec::cpu(4, 1100 + m); });

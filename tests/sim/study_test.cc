@@ -9,6 +9,7 @@
  * well-formed summaries.
  */
 
+#include <cstdio>
 #include <cstdlib>
 
 #include <gtest/gtest.h>
@@ -230,57 +231,61 @@ TEST(StudyTest, CacheFooterAppearsOnlyWhenHitsOccur)
     const StudySpec *spec = StudyRegistry::instance().find("fig14");
     ASSERT_NE(spec, nullptr);
     {
-        // Cache off: no footer ever.
+        // All misses: no footer (this is what keeps default text
+        // output footer-free), but the second identical study on the
+        // same runner hits and reports.
         ExperimentRunner runner;
-        StringReportSink sink;
-        runStudy(*spec, ov, runner, sink);
-        EXPECT_EQ(sink.str().find("[cache:"), std::string::npos);
-    }
-    {
-        // Cache on, all misses: still no footer (this is what keeps
-        // the repeated-lineup cache default byte-identical), but the
-        // second identical study on the same runner hits and reports.
-        ExperimentRunner::Options opts;
-        opts.cacheResults = true;
-        ExperimentRunner runner(opts);
         StringReportSink first;
         runStudy(*spec, ov, runner, first);
         EXPECT_EQ(first.str().find("[cache:"), std::string::npos);
         StringReportSink second;
         runStudy(*spec, ov, runner, second);
         EXPECT_NE(second.str().find("[cache:"), std::string::npos);
+        // The footer adds one line; the study output is unchanged.
+        const std::size_t footer = second.str().find("[cache:");
+        EXPECT_EQ(second.str().substr(0, footer), first.str());
+    }
+    {
+        // cacheStats=0 silences the footer even when the study hits.
+        Overrides quiet = tinyOverrides();
+        std::string err;
+        ASSERT_TRUE(quiet.add("cacheStats=0", &err)) << err;
+        ExperimentRunner runner;
+        StringReportSink first;
+        runStudy(*spec, quiet, runner, first);
+        StringReportSink second;
+        runStudy(*spec, quiet, runner, second);
+        EXPECT_GT(runner.cacheStats().hits, 0u);
+        EXPECT_EQ(second.str(), first.str());
     }
 }
 
-TEST(StudyTest, RepeatedLineupStudiesEnableTheCacheByDefault)
+TEST(StudyTest, MemoServesCellsSharedAcrossStudies)
 {
-    // Multi-sweep studies declare the repeated lineup...
-    for (const char *name :
-         {"fig12", "fig13", "fig18", "ablation_stability",
-          "vic_bankgrain", "noc_sensitivity", "noc_heatmap",
-          "placement_contention", "mem_placement"}) {
-        const StudySpec *spec =
-            StudyRegistry::instance().find(name);
-        ASSERT_NE(spec, nullptr) << name;
-        EXPECT_TRUE(spec->repeatedLineup) << name;
-    }
-    // ...single-sweep studies don't.
-    for (const char *name : {"fig11", "fig14", "table1"}) {
-        const StudySpec *spec =
-            StudyRegistry::instance().find(name);
-        ASSERT_NE(spec, nullptr) << name;
-        EXPECT_FALSE(spec->repeatedLineup) << name;
-    }
-
-    // runnerOptions: off by default, on for repeated-lineup batches,
-    // and an explicit --set cache=0 still wins.
-    const Overrides none;
-    EXPECT_FALSE(runnerOptions(none).cacheResults);
-    EXPECT_TRUE(runnerOptions(none, true).cacheResults);
-    Overrides off;
+    // noc_heatmap's three runs are the injection-scale-1 contention
+    // cells of noc_sensitivity (same config, schemes and mix seed),
+    // so one runner serves all of them from its memo.
+    Overrides ov = tinyOverrides();
     std::string err;
-    ASSERT_TRUE(off.add("cache=0", &err)) << err;
-    EXPECT_FALSE(runnerOptions(off, true).cacheResults);
+    ASSERT_TRUE(ov.add("workers=2", &err)) << err;
+    const StudySpec *sensitivity =
+        StudyRegistry::instance().find("noc_sensitivity");
+    const StudySpec *heatmap =
+        StudyRegistry::instance().find("noc_heatmap");
+    ASSERT_NE(sensitivity, nullptr);
+    ASSERT_NE(heatmap, nullptr);
+    ExperimentRunner runner(runnerOptions(ov));
+    StringReportSink sink;
+    ASSERT_EQ(runStudy(*sensitivity, ov, runner, sink), 0);
+    const ExperimentRunner::CacheStats before = runner.cacheStats();
+    StringReportSink heat;
+    ASSERT_EQ(runStudy(*heatmap, ov, runner, heat), 0);
+    const ExperimentRunner::CacheStats after = runner.cacheStats();
+    EXPECT_EQ(after.hits - before.hits, 3u);
+    EXPECT_EQ(after.misses - before.misses, 0u);
+    EXPECT_EQ(after.entries, before.entries);
+    EXPECT_NE(heat.str().find("[cache: 3 hits, 0 misses, "),
+              std::string::npos);
 }
 
 TEST(StudyTest, EnvironmentAndSetResolveToTheSameRun)
@@ -331,6 +336,24 @@ TEST(StudyCliTest, InvalidConfigsExitBeforeAnyJob)
     EXPECT_EQ(cli({"run", "fig11"}), 2);
     ::unsetenv("CDCS_MIXES");
     EXPECT_EQ(cli({"run", "fig11", "--shard", "3/2"}), 2);
+    // The memo has no switch and no budget, so neither is a knob.
+    EXPECT_EQ(cli({"run", "fig11", "--set", "cache=1"}), 2);
+    EXPECT_EQ(cli({"run", "fig11", "--set", "cacheBudget=8"}), 2);
+
+    // A store directory that cannot be created (its parent is a
+    // regular file) would abort a shard and make merge re-simulate.
+    const std::string afile = ::testing::TempDir() + "cdcs_study_afile";
+    std::FILE *f = std::fopen(afile.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fclose(f);
+    const std::string bad_store = "cacheDir=" + afile + "/store";
+    EXPECT_EQ(cli({"run", "fig14", "--shard", "0/2", "--set",
+                   bad_store, "--set", "mixes=1"}),
+              2);
+    EXPECT_EQ(cli({"merge", "fig14", "--set", bad_store, "--set",
+                   "mixes=1"}),
+              2);
+    std::remove(afile.c_str());
 }
 
 TEST(StudyCliTest, MixLargerThanMeshExitsBeforeAnyJob)
