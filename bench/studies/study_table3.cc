@@ -6,11 +6,10 @@
  * reported in Mcycles at the paper's 2 GHz.
  *
  * The runtime reports its own per-step microsecond timings, so this
- * study needs no external benchmarking framework; the legacy
- * google-benchmark harness (bench_table3_runtime) remains for
- * statistically rigorous measurements. Timing output is inherently
- * machine-dependent — this is the one study whose numbers are not
- * byte-reproducible.
+ * study needs no external benchmarking framework; perfbench's
+ * runtime.*_us metrics track the same steps across builds. Timing
+ * output is inherently machine-dependent — this is the one study
+ * whose numbers are not byte-reproducible.
  *
  * Paper numbers: 0.72 / 1.46 / 6.49 Mcycles total respectively —
  * ~0.2% of system cycles at a 25 ms period.

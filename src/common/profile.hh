@@ -2,15 +2,14 @@
  * @file
  * Lightweight phase profiler behind the `--set timing=1` study knob.
  * Worker threads accumulate wall time into thread-local counters, one
- * per coarse simulator phase (access path, NoC wait queries, runtime
- * reconfiguration, result-cache I/O), and runStudy snapshots the
- * process-wide sums around each study to print the timing footer.
+ * per coarse simulator phase (access path, runtime reconfiguration,
+ * result-cache I/O), and runStudy snapshots the process-wide sums
+ * around each study to print the timing footer.
  *
- * Disabled (the default) the scoped timer is a single relaxed atomic
- * load, so the hot path pays nothing measurable; timings therefore
- * never influence simulated results, only reporting. NocQuery time is
- * nested inside Access time (the access path issues the queries), so
- * the footer reports it as a share of the access phase.
+ * No phase is finer than an epoch's access loop, a reconfiguration or
+ * a store call, so enabled timers cost little next to what they time;
+ * per-access host costs are perfbench's job. Disabled (the default) a
+ * timer is a single relaxed load. Timings never reach the simulation.
  */
 
 #ifndef CDCS_COMMON_PROFILE_HH
@@ -32,8 +31,7 @@ namespace cdcs
 /** Coarse simulator phases the timing footer breaks down. */
 enum class ProfPhase : int
 {
-    Access = 0,  ///< AccessPath chunk execution (includes NocQuery).
-    NocQuery,    ///< NoC latency/wait queries on the access path.
+    Access = 0,  ///< AccessPath chunk execution.
     Reconfig,    ///< Epoch-boundary runtime reconfiguration.
     CacheIo,     ///< Persistent result-store reads/writes.
     NumPhases
@@ -46,8 +44,6 @@ profPhaseName(ProfPhase phase)
     switch (phase) {
       case ProfPhase::Access:
         return "access";
-      case ProfPhase::NocQuery:
-        return "noc-query";
       case ProfPhase::Reconfig:
         return "reconfig";
       case ProfPhase::CacheIo:
@@ -55,17 +51,6 @@ profPhaseName(ProfPhase phase)
       default:
         return "?";
     }
-}
-
-/**
- * Phases coarse enough to trace as spans. NocQuery fires per cache
- * access — millions of times per epoch — so it stays timer-only; the
- * others fire at most once per epoch per run.
- */
-constexpr bool
-profPhaseTraceable(ProfPhase phase)
-{
-    return phase != ProfPhase::NocQuery;
 }
 
 /** Process-wide phase-time accumulator (thread-local counters). */
@@ -179,15 +164,15 @@ class Profiler
 
 /**
  * Scoped timer charging its lifetime to one phase (when the profiler
- * is enabled) and, for coarse phases, emitting a tracer span (when a
- * trace file is open). Both default off to two relaxed loads.
+ * is enabled) and emitting a tracer span (when a trace file is open).
+ * Both default off to two relaxed loads.
  */
 class ProfTimer
 {
   public:
     explicit ProfTimer(ProfPhase phase_)
         : phase(phase_), active(Profiler::enabled()),
-          tracing(profPhaseTraceable(phase_) && Tracer::enabled())
+          tracing(Tracer::enabled())
     {
         if (active)
             start = std::chrono::steady_clock::now(); // lint:allow(wallclock)

@@ -23,7 +23,7 @@ D2ChoiceMemPlacement::controllerFor(TileId core, LineAddr line)
 {
     (void)core;
     const std::uint64_t page = line >> pageLineShift;
-    const auto [it, inserted] = pageCtrl.try_emplace(page, 0);
+    const auto [ctrl, inserted] = pageCtrl.tryEmplace(page);
     if (inserted) {
         // Two independent hash candidates; pin to the lighter one.
         // The first is the interleave hash, so with balanced load the
@@ -36,12 +36,12 @@ D2ChoiceMemPlacement::controllerFor(TileId core, LineAddr line)
             const auto i = static_cast<std::size_t>(c);
             return ctrlLoad[i] + static_cast<double>(epochAccesses[i]);
         };
-        it->second = load(c2) < load(c1) ? c2 : c1;
+        *ctrl = load(c2) < load(c1) ? c2 : c1;
     }
-    const auto c = static_cast<std::size_t>(it->second);
+    const auto c = static_cast<std::size_t>(*ctrl);
     epochAccesses[c]++;
     totalAccesses[c]++;
-    return it->second;
+    return *ctrl;
 }
 
 void
@@ -76,9 +76,8 @@ ContentionMemPlacement::ContentionMemPlacement(
 int
 ContentionMemPlacement::controllerFor(TileId core, LineAddr line)
 {
-    const std::uint64_t page = line >> pageLineShift;
-    const auto [it, inserted] = pages.try_emplace(page);
-    PageInfo &info = it->second;
+    const auto [entry, inserted] = pages.tryEmplace(line >> pageLineShift);
+    PageInfo &info = *entry;
     if (inserted)
         info.ctrl = topo.nearestMemCtrl(core);
     info.lastCore = core;
@@ -108,26 +107,25 @@ ContentionMemPlacement::epochUpdate(NocModel &noc,
     seeded = true;
 
     const double mean = total / static_cast<double>(ctrls);
+    const auto clear_epoch = [](std::uint64_t, PageInfo &info) {
+        info.epochAccesses = 0;
+    };
     if (mean <= 0.0) {
-        // lint:allow(unordered-iter): order-independent reset
-        for (auto &[page, info] : pages)
-            info.epochAccesses = 0;
+        pages.forEach(clear_epoch);
         return;
     }
 
     // Hottest pages currently pinned to an overloaded controller,
-    // hottest first; page id breaks ties so the rebalance is
-    // deterministic regardless of hash-map iteration order.
+    // hottest first; page id breaks ties.
     const double overload = cfg.overloadFactor * mean;
     std::vector<std::pair<std::uint64_t, PageInfo *>> hot;
-    // lint:allow(unordered-iter): result sorted below, page-id ties
-    for (auto &[page, info] : pages) {
+    pages.forEach([&](std::uint64_t page, PageInfo &info) {
         if (info.epochAccesses > 0 &&
             ctrlLoad[static_cast<std::size_t>(info.ctrl)] > overload &&
             (info.lastMoveEpoch < 0 ||
              epochCount - info.lastMoveEpoch >= cfg.cooldownEpochs))
             hot.push_back({page, &info});
-    }
+    });
     std::sort(hot.begin(), hot.end(),
               [](const auto &a, const auto &b) {
                   if (a.second->epochAccesses !=
@@ -223,9 +221,7 @@ ContentionMemPlacement::epochUpdate(NocModel &noc,
     }
 
     epochCount++;
-    // lint:allow(unordered-iter): order-independent reset
-    for (auto &[page, info] : pages)
-        info.epochAccesses = 0;
+    pages.forEach(clear_epoch);
 }
 
 } // namespace cdcs

@@ -26,9 +26,9 @@
 #define CDCS_MEM_MEM_PLACEMENT_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "common/page_table.hh"
 #include "common/types.hh"
 #include "mem/mem_tier.hh"
 #include "mem/mem_tiering.hh"
@@ -155,15 +155,16 @@ class FirstTouchMemPlacement final : public MemPlacementPolicy
     int
     controllerFor(TileId core, LineAddr line) override
     {
-        const std::uint64_t page = line >> pageLineShift;
-        const auto [it, inserted] =
-            pageCtrl.try_emplace(page, topo.nearestMemCtrl(core));
-        return it->second;
+        const auto [ctrl, inserted] =
+            pageCtrl.tryEmplace(line >> pageLineShift);
+        if (inserted)
+            *ctrl = topo.nearestMemCtrl(core);
+        return *ctrl;
     }
 
   private:
     /** First-touch page-to-controller map. */
-    std::unordered_map<std::uint64_t, int> pageCtrl;
+    PageTable<int> pageCtrl;
 };
 
 /**
@@ -193,7 +194,7 @@ class D2ChoiceMemPlacement final : public MemPlacementPolicy
   private:
     double smoothing;
     /** First-touch page-to-controller pins. */
-    std::unordered_map<std::uint64_t, int> pageCtrl;
+    PageTable<int> pageCtrl;
     /** EWMA-blended accesses/epoch per controller. */
     std::vector<double> ctrlLoad;
     /** Accesses per controller this epoch. */
@@ -292,7 +293,7 @@ class ContentionMemPlacement final : public MemPlacementPolicy
     };
 
     ContentionMemPlacementParams cfg;
-    std::unordered_map<std::uint64_t, PageInfo> pages;
+    PageTable<PageInfo> pages;
     /** EWMA-blended accesses/epoch per controller (scored loads). */
     std::vector<double> ctrlLoad;
     /** Accesses per controller this epoch. */

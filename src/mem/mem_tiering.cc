@@ -24,8 +24,8 @@ MemTier
 HotnessTieringPolicy::onAccess(LineAddr line, int ctrl)
 {
     const std::uint64_t page = line >> pageLineShift;
-    auto [it, inserted] = pages.try_emplace(page);
-    PageInfo &info = it->second;
+    const auto [entry, inserted] = pages.tryEmplace(page);
+    PageInfo &info = *entry;
     if (inserted) {
         // Seed from the same hash split as the static policy: both
         // arms of the tiering study start from identical residency
@@ -56,10 +56,7 @@ HotnessTieringPolicy::epochUpdate(NocModel &noc,
     std::vector<Candidate> near_cold; ///< Demotion victims.
 
     const double alpha = seeded ? cfg.smoothing : 1.0;
-    // Candidates are sorted below with a page-id tiebreak before any
-    // order-sensitive use.
-    // lint:allow(unordered-iter): result sorted below, page-id ties
-    for (auto &[page, info] : pages) {
+    pages.forEach([&](std::uint64_t page, PageInfo &info) {
         info.hotness =
             alpha * static_cast<double>(info.epochAccesses) +
             (1.0 - alpha) * info.hotness;
@@ -74,14 +71,14 @@ HotnessTieringPolicy::epochUpdate(NocModel &noc,
             info.lastMoveEpoch < 0 ||
             epochCount - info.lastMoveEpoch > cfg.cooldownEpochs;
         if (!cooled)
-            continue;
+            return;
         if (info.tier == MemTier::Far) {
             if (reused)
                 far_hot.push_back({page, info.hotness, &info});
         } else {
             near_cold.push_back({page, info.hotness, &info});
         }
-    }
+    });
     seeded = true;
     if (far_hot.empty() || near_cold.empty())
         return;

@@ -31,9 +31,9 @@
 #define CDCS_MEM_MEM_TIERING_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "common/page_table.hh"
 #include "common/types.hh"
 #include "mem/mem_tier.hh"
 #include "mesh/mesh.hh"
@@ -162,11 +162,12 @@ class StaticTieringPolicy final : public MemTieringPolicy
     {
         (void)ctrl;
         const std::uint64_t page = line >> pageLineShift;
-        const auto [it, inserted] =
-            pages.try_emplace(page, farBySplit(page));
-        if (it->second)
-            farPages += inserted ? 1 : 0;
-        return it->second ? MemTier::Far : MemTier::Near;
+        const auto [far, inserted] = pages.tryEmplace(page);
+        if (inserted) {
+            *far = farBySplit(page);
+            farPages += *far ? 1 : 0;
+        }
+        return *far ? MemTier::Far : MemTier::Near;
     }
 
     std::uint64_t farResidentPages() const override
@@ -181,7 +182,7 @@ class StaticTieringPolicy final : public MemTieringPolicy
 
   private:
     /** page -> resident far (tracked only for the occupancy stats). */
-    std::unordered_map<std::uint64_t, bool> pages;
+    PageTable<bool> pages;
     std::uint64_t farPages = 0;
 };
 
@@ -243,7 +244,7 @@ class HotnessTieringPolicy final : public MemTieringPolicy
         int lastMoveEpoch = -1;
     };
 
-    std::unordered_map<std::uint64_t, PageInfo> pages;
+    PageTable<PageInfo> pages;
     std::uint64_t farPages = 0;
     std::uint64_t migrated = 0;
     std::uint64_t promoted = 0;

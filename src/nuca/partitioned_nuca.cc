@@ -1,8 +1,6 @@
 #include "nuca/partitioned_nuca.hh"
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 
 #include "common/log.hh"
 
@@ -73,12 +71,6 @@ PartitionedNucaPolicy::applyAllocation(
             }
             if (diff <= cfg.allocHysteresis * std::max(size, 1.0))
                 continue;
-            if (std::getenv("CDCS_DEBUG_RECONFIG") != nullptr) {
-                std::fprintf(stderr,
-                             "reconfig: vc %d remapped, size %.0f, "
-                             "diff %.0f\n",
-                             d, size, diff);
-            }
         }
         currentAlloc[d] = alloc[d];
         descriptors[d] = VcDescriptor::fromShares(alloc[d]);

@@ -18,8 +18,7 @@
 #ifndef CDCS_NUCA_RNUCA_HH
 #define CDCS_NUCA_RNUCA_HH
 
-#include <unordered_map>
-
+#include "common/page_table.hh"
 #include "nuca/policy.hh"
 
 namespace cdcs
@@ -69,13 +68,7 @@ class RNucaPolicy : public NucaPolicy
     const Mesh *mesh;
     int banksPerTile;
     std::uint64_t hashSeed;
-    std::unordered_map<std::uint64_t, PageInfo> pageTable;
-
-    std::uint64_t
-    pageOf(LineAddr line) const
-    {
-        return line >> pageLineShift;
-    }
+    PageTable<PageInfo> pageTable;
 
     TileId
     localBank(TileId core, LineAddr line) const

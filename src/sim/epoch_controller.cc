@@ -247,8 +247,7 @@ EpochController::runEpochs()
 
         std::uint64_t issued = 0;
         {
-            // Timing only: the access phase (NoC wait queries nest
-            // inside it and are reported as a share of it).
+            // Timing only: the access phase.
             ProfTimer access_timer(ProfPhase::Access);
             while (issued < cfg.accessesPerThreadEpoch) {
                 const auto n = static_cast<std::uint32_t>(

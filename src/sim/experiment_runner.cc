@@ -313,6 +313,12 @@ ExperimentRunner::runJob(const Job &job)
             return stored;
         }
     }
+    if (opts.replayOnly) {
+        throw JobSetError("no stored result for scheme " +
+                          job.scheme.name + " on mix seed " +
+                          std::to_string(job.mix.seed) +
+                          "; merge simulates nothing");
+    }
     // Shard partition: only the owning shard simulates a cell that
     // neither the memo nor the store could serve. The zero result
     // makes the shard's own stdout meaningless by design; `merge`
@@ -363,6 +369,13 @@ ExperimentRunner::runAll(const std::vector<Job> &jobs)
 {
     checkJobs(jobs);
     std::vector<RunResult> results(jobs.size());
+    if (opts.replayOnly) {
+        // A replay miss throws, which pool tasks must not; replaying
+        // in job order also makes the reported miss the first one.
+        for (std::size_t i = 0; i < jobs.size(); i++)
+            results[i] = runJob(jobs[i]);
+        return results;
+    }
     std::vector<std::function<void()>> tasks;
     tasks.reserve(jobs.size());
     for (std::size_t i = 0; i < jobs.size(); i++) {

@@ -112,6 +112,13 @@ class ExperimentRunner
          */
         int shardIndex = 0;
         int shardCount = 1;
+
+        /**
+         * Replay only (`cdcs_studies merge`): jobs resolve serially
+         * from the memo or the store, and the first cell in neither
+         * throws JobSetError instead of being simulated.
+         */
+        bool replayOnly = false;
     };
 
     /** Memo counters (monotonic over the runner's life). */
@@ -144,7 +151,8 @@ class ExperimentRunner
     /**
      * Run one scheme on one mix (memoized).
      * Like runAll, sweep and runSchemes, throws JobSetError before
-     * running anything when the mix does not fit the mesh.
+     * running anything when the mix does not fit the mesh, and in
+     * replay-only mode when a cell has no stored result.
      */
     RunResult run(const SystemConfig &cfg, const SchemeSpec &scheme,
                   const MixSpec &mix);

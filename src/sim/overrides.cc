@@ -8,8 +8,11 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <type_traits>
 #include <utility>
+
+#include <unistd.h>
 
 #include "common/log.hh"
 #include "mem/mem_placement_registry.hh"
@@ -170,10 +173,14 @@ constexpr Knob kKnobs[] = {
      .doc = "Zipf skew of the hot-object overlay; 0 disables it."},
     {.name = "skewFraction", CDCS_FIELD(skewFraction),
      .range = {.hi = 1}, .doc = "Share of accesses sent to the overlay."},
-    {.name = "skewLines", CDCS_FIELD(skewLines), .range = {.lo = 1},
+    // Bounded so overlay lines stay inside the global VC's 2^40-line
+    // range and the hot-set table stays a small allocation.
+    {.name = "skewLines", CDCS_FIELD(skewLines),
+     .range = {.lo = 1, .hi = 0x1p32},
      .doc = "Overlay footprint (lines)."},
     {.name = "skewHotLines", CDCS_FIELD(skewHotLines),
-     .range = {.lo = 1}, .doc = "Hottest ranks in the drifting table."},
+     .range = {.lo = 1, .hi = 0x1p24},
+     .doc = "Hottest ranks in the drifting table."},
     {.name = "skewPageHot", CDCS_FIELD(skewPageHot),
      .doc = "Seat the hot-set table page-aligned."},
     {.name = "skewDriftEpochs", CDCS_FIELD(skewDriftEpochs),
@@ -542,6 +549,21 @@ bool
 Overrides::loadEnv(std::string *err)
 {
     envEntries.clear();
+    // A CDCS_* name outside the table is a typo or a retired knob;
+    // dropping it would run a config the caller did not ask for.
+    for (char **var = environ; *var != nullptr; var++) {
+        const std::string name(*var, std::strcspn(*var, "="));
+        const auto reads = [&](const Knob &k) {
+            return k.env != nullptr && name == k.env;
+        };
+        if (name.starts_with("CDCS_") &&
+            std::none_of(std::begin(kKnobs), std::end(kKnobs), reads)) {
+            if (err != nullptr)
+                *err = "unknown environment variable " + name +
+                    " (no knob reads it; see cdcs_studies help)";
+            return false;
+        }
+    }
     for (const Knob &k : kKnobs) {
         const char *value = k.env != nullptr ? std::getenv(k.env)
                                              : nullptr;

@@ -116,7 +116,8 @@ class Overrides
     /**
      * Read every knob's CDCS_* variable through the same parser as
      * add(). Empty variables count as unset. Returns false (with the
-     * variable named in `*err`) on the first bad value.
+     * variable named in `*err`) on a CDCS_* variable no knob reads or
+     * on the first bad value.
      */
     bool loadEnv(std::string *err);
 

@@ -181,8 +181,6 @@ runStudy(const StudySpec &spec, const Overrides &overrides,
         t.wallSec = wall.count();
         t.accessSec = 1e-9 * static_cast<double>(
             d[ProfPhase::Access]);
-        t.nocQuerySec = 1e-9 * static_cast<double>(
-            d[ProfPhase::NocQuery]);
         t.reconfigSec = 1e-9 * static_cast<double>(
             d[ProfPhase::Reconfig]);
         t.cacheIoSec = 1e-9 * static_cast<double>(
@@ -241,7 +239,8 @@ usage(std::FILE *out)
         "[--format=text|json|csv]\n"
         "      recombine sharded runs: replay the studies from the\n"
         "      populated result store (requires cacheDir); output is\n"
-        "      byte-identical to an unsharded run\n"
+        "      byte-identical to an unsharded run, and a cell missing\n"
+        "      from the store exits 2 instead of being simulated\n"
         "\n"
         "knobs (--set key=value; a [CDCS_*] variable sets the same\n"
         "knob from the environment, below --set):\n");
@@ -440,8 +439,8 @@ studiesCliMain(int argc, char **argv)
                          what);
             return 2;
         }
-        // A merge over a store it cannot read would re-simulate every
-        // cell, and a shard could not publish its own.
+        // A merge over a store it cannot read could replay nothing,
+        // and a shard could not publish its own.
         const ResultStore probe(ropts.cacheDir);
         if (!probe.ok()) {
             std::fprintf(stderr,
@@ -453,6 +452,7 @@ studiesCliMain(int argc, char **argv)
             ropts.shardIndex = shard_index;
             ropts.shardCount = shard_count;
         }
+        ropts.replayOnly = merge;
     }
     ExperimentRunner runner(ropts);
     const std::string trace_path = overrides.strKnob("trace", "");

@@ -1,10 +1,8 @@
 /**
  * @file
  * Tests for the phase profiler behind `--set timing=1`: the disabled
- * default records nothing, scoped timers charge their phase, NocQuery
- * time nests inside Access time (both phases accumulate), snapshots
- * sum over every thread that ever recorded, and since() deltas window
- * the monotonic counters.
+ * default records nothing, snapshots sum over every thread that ever
+ * recorded, and since() deltas window the monotonic counters.
  */
 
 #include <chrono>
@@ -41,28 +39,6 @@ TEST(ProfilerTest, DisabledTimersRecordNothing)
     }
     const auto delta = Profiler::snapshot().since(before);
     EXPECT_EQ(delta[ProfPhase::Access], 0u);
-    EXPECT_EQ(delta[ProfPhase::NocQuery], 0u);
-}
-
-TEST(ProfilerTest, NestedNocQueryChargesBothPhases)
-{
-    Profiler::setEnabled(true);
-    const Profiler::Snapshot before = Profiler::snapshot();
-    {
-        ProfTimer access(ProfPhase::Access);
-        {
-            ProfTimer query(ProfPhase::NocQuery);
-            spin(2ms);
-        }
-        spin(1ms);
-    }
-    Profiler::setEnabled(false);
-    const auto delta = Profiler::snapshot().since(before);
-    // The query nests inside the access span, so access time covers
-    // it: access >= query >= the inner spin.
-    EXPECT_GE(delta[ProfPhase::NocQuery], 1'000'000u);
-    EXPECT_GE(delta[ProfPhase::Access], delta[ProfPhase::NocQuery]);
-    EXPECT_EQ(delta[ProfPhase::Reconfig], 0u);
 }
 
 TEST(ProfilerTest, SnapshotSumsOverThreads)

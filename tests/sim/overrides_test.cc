@@ -109,6 +109,22 @@ TEST(OverridesTest, RejectsTypeMismatches)
     EXPECT_EQ(cfg.meshWidth, SystemConfig{}.meshWidth);
 }
 
+TEST(OverridesTest, OverlayKnobsAreBounded)
+{
+    // skewLines above 2^32 would let overlay lines alias into other
+    // VCs' address ranges, and skewHotLines sizes a table allocated
+    // up front; both bounds hold through the shared parser.
+    Overrides ov;
+    std::string err;
+    EXPECT_TRUE(ov.add("skewLines=4294967296", &err)) << err;
+    EXPECT_TRUE(ov.add("skewHotLines=16777216", &err)) << err;
+    EXPECT_FALSE(ov.add("skewLines=4294967297", &err));
+    EXPECT_NE(err.find("maximum 4294967296"), std::string::npos) << err;
+    EXPECT_FALSE(ov.add("skewHotLines=16777217", &err));
+    EXPECT_NE(err.find("maximum 16777216"), std::string::npos) << err;
+    EXPECT_FALSE(ov.add("skewLines=8796093022208", &err)); // 2^43
+}
+
 TEST(OverridesTest, LastValueWins)
 {
     Overrides ov;
@@ -192,6 +208,26 @@ TEST(OverridesEnvTest, BadEnvironmentValuesAreRejected)
         EXPECT_NE(err.find(name), std::string::npos) << err;
         ::unsetenv(name);
     }
+}
+
+TEST(OverridesEnvTest, UnknownCdcsVariablesAreRejected)
+{
+    // A retired knob's variable, and a misspelled one, must not be
+    // dropped without a word while --set rejects the same key.
+    for (const char *name : {"CDCS_CACHE_BUDGET", "CDCS_EPOCH"}) {
+        ::setenv(name, "3", 1);
+        Overrides ov;
+        std::string err;
+        EXPECT_FALSE(ov.loadEnv(&err)) << name;
+        EXPECT_NE(err.find(name), std::string::npos) << err;
+        ::unsetenv(name);
+    }
+    // Other prefixes are not ours to police.
+    ::setenv("CDCSX_OTHER", "1", 1);
+    Overrides ov;
+    std::string err;
+    EXPECT_TRUE(ov.loadEnv(&err)) << err;
+    ::unsetenv("CDCSX_OTHER");
 }
 
 TEST(ValidateTest, RejectsBankGeometryWithoutPowerOfTwoSets)

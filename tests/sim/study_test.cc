@@ -11,6 +11,9 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <string>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -339,6 +342,17 @@ TEST(StudyCliTest, InvalidConfigsExitBeforeAnyJob)
     // The memo has no switch and no budget, so neither is a knob.
     EXPECT_EQ(cli({"run", "fig11", "--set", "cache=1"}), 2);
     EXPECT_EQ(cli({"run", "fig11", "--set", "cacheBudget=8"}), 2);
+    // ... nor through the environment, where it used to be ignored.
+    ::setenv("CDCS_CACHE_BUDGET", "3", 1);
+    EXPECT_EQ(cli({"run", "fig14"}), 2);
+    ::unsetenv("CDCS_CACHE_BUDGET");
+    // A 2^43-line overlay under churn would size a 64 TiB hot table.
+    EXPECT_EQ(cli({"run", "fig11", "--set", "churn=2:-1", "--set",
+                   "skewLines=8796093022208", "--set",
+                   "skewHotLines=8796093022208"}),
+              2);
+    EXPECT_EQ(cli({"run", "fig11", "--set", "skewHotLines=16777217"}),
+              2);
 
     // A store directory that cannot be created (its parent is a
     // regular file) would abort a shard and make merge re-simulate.
@@ -372,6 +386,49 @@ TEST(StudyCliTest, MixLargerThanMeshExitsBeforeAnyJob)
                                           "--set", "apps=100"};
     many_apps.insert(many_apps.end(), tiny.begin(), tiny.end());
     EXPECT_EQ(cli(many_apps), 2);
+}
+
+TEST(StudyCliTest, MergeSimulatesNothing)
+{
+    const std::string dir = ::testing::TempDir() + "cdcs_merge_" +
+        std::to_string(::getpid());
+    std::system(("rm -rf '" + dir + "'").c_str());
+    // An empty store has none of the cells: exit 2, nothing run.
+    EXPECT_EQ(cli({"merge", "fig14", "--set", "cacheDir=" + dir,
+                   "--set", "epochAccesses=600", "--set", "epochs=2",
+                   "--set", "warmup=1", "--set", "mixes=1"}),
+              2);
+
+    // Once a run has filled the store, a replay-only runner serves
+    // every cell from it, byte-identical to the run.
+    Overrides ov = tinyOverrides();
+    std::string err;
+    ASSERT_TRUE(ov.add("cacheStats=0", &err)) << err;
+    const StudySpec *spec = StudyRegistry::instance().find("fig14");
+    ASSERT_NE(spec, nullptr);
+    ExperimentRunner::Options opts;
+    opts.cacheDir = dir;
+    std::string ran;
+    {
+        ExperimentRunner runner(opts);
+        StringReportSink sink;
+        ASSERT_EQ(runStudy(*spec, ov, runner, sink), 0);
+        ran = sink.str();
+    }
+    opts.replayOnly = true;
+    ExperimentRunner replay(opts);
+    StringReportSink sink;
+    EXPECT_EQ(runStudy(*spec, ov, replay, sink), 0);
+    EXPECT_EQ(sink.str(), ran);
+    EXPECT_EQ(replay.cacheStats().storeMisses, 0u);
+
+    // A cell outside the store (another seed) is a miss, reported
+    // before anything runs.
+    Overrides other = tinyOverrides();
+    ASSERT_TRUE(other.add("seed=43", &err)) << err;
+    StringReportSink missing;
+    EXPECT_EQ(runStudy(*spec, other, replay, missing), 2);
+    std::system(("rm -rf '" + dir + "'").c_str());
 }
 
 std::string
