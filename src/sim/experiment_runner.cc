@@ -222,16 +222,8 @@ ExperimentRunner::writeShardManifest(const std::string &path) const
                 resultStore != nullptr
                     ? jsonString(resultStore->codeVersion()).c_str()
                     : "\"\"");
-        // Emit cells in hash order: unordered_map iteration order
-        // would make the manifest differ run to run.
-        std::vector<std::pair<std::uint64_t, CellAction>> cells(
-            cellActions.begin(), cellActions.end());
-        std::sort(cells.begin(), cells.end(),
-                  [](const auto &a, const auto &b) {
-                      return a.first < b.first;
-                  });
         std::size_t i = 0;
-        for (const auto &[hash, action] : cells) {
+        for (const auto &[hash, action] : cellActions) {
             appendF(doc,
                     "    {\"hash\": \"%016llx\", \"owner\": %d, "
                     "\"action\": \"%s\"}%s\n",
@@ -240,7 +232,7 @@ ExperimentRunner::writeShardManifest(const std::string &path) const
                                      static_cast<std::uint64_t>(
                                          opts.shardCount)),
                     action_names[static_cast<int>(action)],
-                    ++i < cells.size() ? "," : "");
+                    ++i < cellActions.size() ? "," : "");
         }
         doc += "  ]\n}\n";
     }

@@ -45,6 +45,8 @@ struct EpochRecord
      * schedule skipped (and always when stats are off).
      */
     std::vector<std::uint64_t> stats;
+
+    bool operator==(const EpochRecord &) const = default;
 };
 
 /** Aggregated results of one run (post-warmup unless noted). */
@@ -185,6 +187,12 @@ struct RunResult
                 totalInstrs
             : 0.0;
     }
+
+    /**
+     * Field-by-field equality. avgTimes holds host wall-clock times,
+     * so two simulations of one cell agree on every field but that.
+     */
+    bool operator==(const RunResult &) const = default;
 };
 
 } // namespace cdcs

@@ -23,6 +23,7 @@
 #include "sim/experiment.hh"
 #include "sim/experiment_runner.hh"
 #include "sim/overrides.hh"
+#include "../sim/same_simulation.hh"
 
 namespace cdcs
 {
@@ -346,29 +347,6 @@ TEST(HotnessTieringTest, EpochDynamicsAreDeterministic)
     EXPECT_EQ(run_history(), run_history());
 }
 
-/** Fields that must agree between two runs byte-for-byte. */
-void
-expectRunsIdentical(const RunResult &a, const RunResult &b)
-{
-    EXPECT_EQ(a.totalInstrs, b.totalInstrs);
-    EXPECT_EQ(a.wallCycles, b.wallCycles);
-    EXPECT_EQ(a.llcAccesses, b.llcAccesses);
-    EXPECT_EQ(a.llcHits, b.llcHits);
-    EXPECT_EQ(a.memAccesses, b.memAccesses);
-    EXPECT_EQ(a.farMemAccesses, b.farMemAccesses);
-    EXPECT_EQ(a.onChipLatSum, b.onChipLatSum);
-    EXPECT_EQ(a.offChipLatSum, b.offChipLatSum);
-    EXPECT_EQ(a.farOffChipLatSum, b.farOffChipLatSum);
-    EXPECT_EQ(a.memMigratedPages, b.memMigratedPages);
-    EXPECT_EQ(a.tierPromotions, b.tierPromotions);
-    EXPECT_EQ(a.tieredPages, b.tieredPages);
-    for (std::size_t c = 0; c < a.trafficFlitHops.size(); c++)
-        EXPECT_EQ(a.trafficFlitHops[c], b.trafficFlitHops[c]);
-    ASSERT_EQ(a.threadCycles.size(), b.threadCycles.size());
-    for (std::size_t t = 0; t < a.threadCycles.size(); t++)
-        EXPECT_EQ(a.threadCycles[t], b.threadCycles[t]);
-}
-
 TEST(MemTieringTest, OffStateMatchesDefaultBitForBit)
 {
     // farMemRatio = 0 must be the pre-tier simulator: no tiering
@@ -396,7 +374,7 @@ TEST(MemTieringTest, OffStateMatchesDefaultBitForBit)
          {SchemeSpec::snuca(), SchemeSpec::cdcs()}) {
         const RunResult a = runScheme(base, scheme, mix);
         const RunResult b = runScheme(off, scheme, mix);
-        expectRunsIdentical(a, b);
+        EXPECT_TRUE(sameSimulation(a, b));
         EXPECT_EQ(a.farMemAccesses, 0u);
         EXPECT_EQ(a.tieredPages, 0u);
         EXPECT_EQ(a.farOffChipLatSum, 0.0);
@@ -494,13 +472,8 @@ TEST(MemTieringTest, TieringSweepSerialParallelIdentical)
     const SweepResult a = serial.sweep(cfg, schemes, 3, mix_of);
     const SweepResult b = parallel.sweep(cfg, schemes, 3, mix_of);
     ASSERT_EQ(a.firstRun.size(), b.firstRun.size());
-    for (std::size_t s = 0; s < a.firstRun.size(); s++) {
-        expectRunsIdentical(a.firstRun[s], b.firstRun[s]);
-        EXPECT_EQ(a.firstRun[s].tierDemotions,
-                  b.firstRun[s].tierDemotions);
-        EXPECT_EQ(a.firstRun[s].farResidentPages,
-                  b.firstRun[s].farResidentPages);
-    }
+    for (std::size_t s = 0; s < a.firstRun.size(); s++)
+        EXPECT_TRUE(sameSimulation(a.firstRun[s], b.firstRun[s]));
     ASSERT_EQ(a.ws.size(), b.ws.size());
     for (std::size_t s = 0; s < a.ws.size(); s++) {
         ASSERT_EQ(a.ws[s].size(), b.ws[s].size());

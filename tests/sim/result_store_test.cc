@@ -1,10 +1,11 @@
 /**
  * @file
  * Tests for the persistent result store and the sharded runner built
- * on it: binary round-trip of every RunResult field, code-version
- * salting (a version bump re-keys the store), tolerance of truncated
- * and bit-flipped records (skipped as corrupt, never trusted; a
- * seeded loop also corrupts length fields behind a valid checksum),
+ * on it: binary round-trip of every RunResult field, record bytes
+ * pinned by a golden checksum, code-version salting (a version bump
+ * re-keys the store), tolerance of truncated and bit-flipped records
+ * (skipped as corrupt, never trusted; a seeded loop also rewrites
+ * every counted field behind a valid checksum),
  * concurrent writers, warm-start equivalence across runner instances
  * (simulating separate processes), shard partition completeness and
  * disjointness, and shard + merge == unsharded at the result level.
@@ -23,6 +24,7 @@
 #include "common/rng.hh"
 #include "sim/experiment_runner.hh"
 #include "sim/result_store.hh"
+#include "same_simulation.hh"
 
 namespace cdcs
 {
@@ -120,6 +122,7 @@ sampleResult(double salt)
     link.src = 3;
     link.dst = invalidTile;
     link.memCtrl = 1;
+    link.far = true;
     r.nocLinks.push_back(link);
     r.memMigratedPages = 17;
     r.energy.staticE = 0.1;
@@ -129,61 +132,28 @@ sampleResult(double salt)
     r.energy.mem = 0.5;
     r.ipcTrace = {0.5, 0.75, 1.0 + salt};
     r.ipcBinCycles = 10000;
+    r.memCtrlAccesses = {400, 500, 600 + static_cast<std::uint64_t>(salt)};
+    EpochRecord rec;
+    rec.epoch = 1;
+    rec.activeThreads = 3;
+    rec.churnDelta = -1;
+    rec.aggIpc = 1.5 + salt;
+    rec.placementMoves = 2;
+    rec.movedLines = 640;
+    rec.stats = {11, 12};
+    r.epochTrace.push_back(rec);
+    rec.epoch = 2;
+    rec.churnDelta = 2;
+    rec.stats = {13, 14};
+    r.epochTrace.push_back(rec);
+    r.statNames = {"cache.fills", "noc.flits"};
+    r.farMemAccesses = 2718;
+    r.farOffChipLatSum = 5e6 + salt;
+    r.tierPromotions = 19;
+    r.tierDemotions = 23;
+    r.farResidentPages = 29;
+    r.tieredPages = 31;
     return r;
-}
-
-/**
- * Compare two RunResults field by field. `same_simulation` also
- * compares avgTimes — real wall-clock measurements of the runtime's
- * reconfiguration steps, identical only when both results came from
- * the same simulation (e.g. through a store round-trip), never across
- * independent re-simulations of the same cell.
- */
-void
-expectEqualResults(const RunResult &a, const RunResult &b,
-                   bool same_simulation = true)
-{
-    EXPECT_EQ(a.threadInstrs, b.threadInstrs);
-    EXPECT_EQ(a.threadCycles, b.threadCycles);
-    EXPECT_EQ(a.threadIpc, b.threadIpc);
-    EXPECT_EQ(a.procThroughput, b.procThroughput);
-    EXPECT_EQ(a.totalInstrs, b.totalInstrs);
-    EXPECT_EQ(a.wallCycles, b.wallCycles);
-    EXPECT_EQ(a.llcAccesses, b.llcAccesses);
-    EXPECT_EQ(a.llcHits, b.llcHits);
-    EXPECT_EQ(a.demandMoves, b.demandMoves);
-    EXPECT_EQ(a.moveProbes, b.moveProbes);
-    EXPECT_EQ(a.memAccesses, b.memAccesses);
-    EXPECT_EQ(a.instantMoved, b.instantMoved);
-    EXPECT_EQ(a.bulkInvalidated, b.bulkInvalidated);
-    EXPECT_EQ(a.bgInvalidated, b.bgInvalidated);
-    EXPECT_EQ(a.pausedCycles, b.pausedCycles);
-    EXPECT_EQ(a.reconfigs, b.reconfigs);
-    if (same_simulation) {
-        EXPECT_EQ(a.avgTimes.allocUs, b.avgTimes.allocUs);
-        EXPECT_EQ(a.avgTimes.threadPlaceUs, b.avgTimes.threadPlaceUs);
-        EXPECT_EQ(a.avgTimes.dataPlaceUs, b.avgTimes.dataPlaceUs);
-    }
-    EXPECT_EQ(a.onChipLatSum, b.onChipLatSum);
-    EXPECT_EQ(a.offChipLatSum, b.offChipLatSum);
-    EXPECT_EQ(a.trafficFlitHops, b.trafficFlitHops);
-    ASSERT_EQ(a.nocLinks.size(), b.nocLinks.size());
-    for (std::size_t l = 0; l < a.nocLinks.size(); l++) {
-        EXPECT_EQ(a.nocLinks[l].src, b.nocLinks[l].src);
-        EXPECT_EQ(a.nocLinks[l].dst, b.nocLinks[l].dst);
-        EXPECT_EQ(a.nocLinks[l].memCtrl, b.nocLinks[l].memCtrl);
-        EXPECT_EQ(a.nocLinks[l].flits, b.nocLinks[l].flits);
-        EXPECT_EQ(a.nocLinks[l].util, b.nocLinks[l].util);
-        EXPECT_EQ(a.nocLinks[l].waitCycles, b.nocLinks[l].waitCycles);
-    }
-    EXPECT_EQ(a.memMigratedPages, b.memMigratedPages);
-    EXPECT_EQ(a.energy.staticE, b.energy.staticE);
-    EXPECT_EQ(a.energy.core, b.energy.core);
-    EXPECT_EQ(a.energy.net, b.energy.net);
-    EXPECT_EQ(a.energy.llc, b.energy.llc);
-    EXPECT_EQ(a.energy.mem, b.energy.mem);
-    EXPECT_EQ(a.ipcTrace, b.ipcTrace);
-    EXPECT_EQ(a.ipcBinCycles, b.ipcBinCycles);
 }
 
 TEST(ResultStoreTest, RoundTripsEveryFieldAcrossInstances)
@@ -200,13 +170,34 @@ TEST(ResultStoreTest, RoundTripsEveryFieldAcrossInstances)
     ASSERT_TRUE(reader.ok());
     RunResult read;
     ASSERT_TRUE(reader.load("cfg:a|mix:b", &read));
-    expectEqualResults(written, read);
+    EXPECT_TRUE(read == written);
     EXPECT_EQ(reader.stats().hits, 1u);
     EXPECT_EQ(reader.stats().corrupt, 0u);
 
     // A different key misses.
     EXPECT_FALSE(reader.load("cfg:a|mix:c", &read));
     EXPECT_EQ(reader.stats().misses, 1u);
+}
+
+TEST(ResultStoreTest, RecordBytesArePinned)
+{
+    // The full sample's record under a fixed version and key, pinned
+    // by its size and trailing checksum: a change to the stored field
+    // list or its encoding fails here until recordFormat is bumped
+    // (which re-pins both numbers).
+    const std::string dir = freshDir("golden");
+    ResultStore store(dir, "v1");
+    ASSERT_TRUE(store.save("cfg:golden|mix:1", sampleResult(0.5)));
+    const std::string blob =
+        readBytes(recordPathOf(store, dir, "cfg:golden|mix:1"));
+    ASSERT_GE(blob.size(), 8u);
+    std::uint64_t checksum = 0;
+    for (int i = 7; i >= 0; i--) {
+        checksum = checksum << 8 |
+            static_cast<unsigned char>(blob[blob.size() - 8 + i]);
+    }
+    EXPECT_EQ(blob.size(), 738u);
+    EXPECT_EQ(checksum, 0xFA57CDA89643CB90ull);
 }
 
 TEST(ResultStoreTest, CodeVersionSaltInvalidatesRecords)
@@ -255,7 +246,7 @@ TEST(ResultStoreTest, TruncatedAndCorruptRecordsAreSkipped)
     EXPECT_TRUE(store.save("key", sampleResult(1.0)));
     EXPECT_TRUE(store.load("key", &out));
     EXPECT_EQ(store.stats().evictions, 1u);
-    expectEqualResults(sampleResult(1.0), out);
+    EXPECT_TRUE(out == sampleResult(1.0));
 }
 
 /** Little-endian u32 of `blob` at byte `off`. */
@@ -312,22 +303,40 @@ TEST(ResultStoreFuzzTest, SeededRecordCorruptionsNeverLoad)
     const std::string body = blob.substr(0, blob.size() - 8);
     ASSERT_EQ(sealed(body), blob);
 
-    // Counted fields of the payload, located from the record layout
-    // (magic, format, hash, version, key, then the RunResult) and
-    // checked against the sample's sizes so a format change fails
-    // here rather than fuzzing the wrong bytes.
+    // Every counted field of the payload (sequence counts and string
+    // lengths), located by stepping through the record layout (magic,
+    // format, hash, version, key, then the RunResult) and checked
+    // against the sample's sizes, so a format change fails here
+    // rather than fuzzing the wrong bytes.
     std::vector<std::size_t> lengths;
     std::size_t off = 4 + 4 + 8 + 4 + version.size() + 4 + key.size();
+    const auto counted = [&](std::size_t n, std::size_t elem_bytes) {
+        EXPECT_EQ(u32At(blob, off), n) << "count at byte " << off;
+        lengths.push_back(off);
+        off += 4 + n * elem_bytes;
+    };
     for (const std::vector<double> *xs :
          {&sample.threadInstrs, &sample.threadCycles, &sample.threadIpc,
           &sample.procThroughput}) {
-        ASSERT_EQ(u32At(blob, off), xs->size());
-        lengths.push_back(off);
-        off += 4 + 8 * xs->size();
+        counted(xs->size(), 8);
     }
     off += 17 * 8 + 8 * sample.trafficFlitHops.size();
-    ASSERT_EQ(u32At(blob, off), sample.nocLinks.size());
-    lengths.push_back(off);
+    counted(sample.nocLinks.size(), 44);
+    off += 8 + 5 * 8; // memMigratedPages, energy.
+    counted(sample.ipcTrace.size(), 8);
+    off += 8; // ipcBinCycles.
+    counted(sample.memCtrlAccesses.size(), 8);
+    counted(sample.epochTrace.size(), 0);
+    for (const EpochRecord &rec : sample.epochTrace) {
+        off += 6 * 8;
+        counted(rec.stats.size(), 8);
+    }
+    counted(sample.statNames.size(), 0);
+    for (const std::string &name : sample.statNames)
+        counted(name.size(), 1);
+    // Six far-tier fields close the record.
+    ASSERT_EQ(off + 6 * 8, body.size());
+    ASSERT_FALSE(HasFailure());
 
     Rng rng(0x5702E);
     std::uint64_t corrupt = store.stats().corrupt;
@@ -347,9 +356,9 @@ TEST(ResultStoreFuzzTest, SeededRecordCorruptionsNeverLoad)
                 mutated[at] ^ (1 << rng.below(8)));
             break;
           }
-          default: { // A counted field rewritten, re-sealed.
+          default: { // Each counted field in turn rewritten, re-sealed.
             std::string edited = body;
-            const std::size_t at = lengths[rng.below(lengths.size())];
+            const std::size_t at = lengths[(iter / 4) % lengths.size()];
             const std::uint32_t was = u32At(body, at);
             const std::uint32_t values[] = {
                 0u, was - 1, was + 1, 0x7FFFFFFFu, 0xFFFFFFFFu,
@@ -374,7 +383,7 @@ TEST(ResultStoreFuzzTest, SeededRecordCorruptionsNeverLoad)
     writeBytes(path, blob);
     RunResult out;
     ASSERT_TRUE(store.load(key, &out));
-    expectEqualResults(sample, out);
+    EXPECT_TRUE(out == sample);
 }
 
 TEST(ResultStoreTest, ConcurrentWritersLeaveAConsistentStore)
@@ -462,9 +471,7 @@ TEST(ShardedRunnerTest, WarmRunnerServesEveryCellFromTheStore)
     ASSERT_EQ(a.ws.size(), b.ws.size());
     for (std::size_t s = 0; s < a.ws.size(); s++)
         EXPECT_EQ(a.ws[s], b.ws[s]);
-    ASSERT_EQ(a.firstRun.size(), b.firstRun.size());
-    for (std::size_t s = 0; s < a.firstRun.size(); s++)
-        expectEqualResults(a.firstRun[s], b.firstRun[s]);
+    EXPECT_TRUE(a.firstRun == b.firstRun);
     EXPECT_EQ(a.toJson(), b.toJson());
 }
 
@@ -514,10 +521,8 @@ TEST(ShardedRunnerTest, ShardsPartitionCellsAndMergeMatchesUnsharded)
     EXPECT_EQ(merged.cacheStats().storeMisses, 0u);
     EXPECT_EQ(merged.cacheStats().storeHits, cells);
     ASSERT_EQ(expect.firstRun.size(), got.firstRun.size());
-    for (std::size_t s = 0; s < expect.firstRun.size(); s++) {
-        expectEqualResults(expect.firstRun[s], got.firstRun[s],
-                           /*same_simulation=*/false);
-    }
+    for (std::size_t s = 0; s < expect.firstRun.size(); s++)
+        EXPECT_TRUE(sameSimulation(expect.firstRun[s], got.firstRun[s]));
     EXPECT_EQ(expect.toJson(), got.toJson());
 }
 

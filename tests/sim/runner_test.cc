@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/experiment_runner.hh"
+#include "same_simulation.hh"
 
 namespace cdcs
 {
@@ -49,29 +50,6 @@ runnerOpts(int workers)
 }
 
 void
-expectSameRun(const RunResult &a, const RunResult &b)
-{
-    ASSERT_EQ(a.threadInstrs.size(), b.threadInstrs.size());
-    for (std::size_t t = 0; t < a.threadInstrs.size(); t++) {
-        EXPECT_EQ(a.threadInstrs[t], b.threadInstrs[t]);
-        EXPECT_EQ(a.threadCycles[t], b.threadCycles[t]);
-    }
-    EXPECT_EQ(a.totalInstrs, b.totalInstrs);
-    EXPECT_EQ(a.wallCycles, b.wallCycles);
-    EXPECT_EQ(a.llcAccesses, b.llcAccesses);
-    EXPECT_EQ(a.llcHits, b.llcHits);
-    EXPECT_EQ(a.demandMoves, b.demandMoves);
-    EXPECT_EQ(a.memAccesses, b.memAccesses);
-    EXPECT_EQ(a.onChipLatSum, b.onChipLatSum);
-    EXPECT_EQ(a.offChipLatSum, b.offChipLatSum);
-    EXPECT_EQ(a.trafficFlitHops, b.trafficFlitHops);
-    EXPECT_EQ(a.energy.total(), b.energy.total());
-    ASSERT_EQ(a.procThroughput.size(), b.procThroughput.size());
-    for (std::size_t p = 0; p < a.procThroughput.size(); p++)
-        EXPECT_EQ(a.procThroughput[p], b.procThroughput[p]);
-}
-
-void
 expectSameSweep(const SweepResult &a, const SweepResult &b)
 {
     ASSERT_EQ(a.schemes.size(), b.schemes.size());
@@ -87,7 +65,7 @@ expectSameSweep(const SweepResult &a, const SweepResult &b)
                       b.trafficPerInstr[s][c]);
         for (int e = 0; e < 5; e++)
             EXPECT_EQ(a.energyParts[s][e], b.energyParts[s][e]);
-        expectSameRun(a.firstRun[s], b.firstRun[s]);
+        EXPECT_TRUE(sameSimulation(a.firstRun[s], b.firstRun[s]));
     }
 }
 
@@ -143,8 +121,8 @@ TEST(RunnerTest, RunMatchesDirectRunScheme)
     const SystemConfig cfg = smallConfig();
     const MixSpec mix = MixSpec::cpu(4, 42);
     ExperimentRunner runner;
-    expectSameRun(runner.run(cfg, SchemeSpec::cdcs(), mix),
-                  runScheme(cfg, SchemeSpec::cdcs(), mix));
+    EXPECT_TRUE(sameSimulation(runner.run(cfg, SchemeSpec::cdcs(), mix),
+                               runScheme(cfg, SchemeSpec::cdcs(), mix)));
 }
 
 TEST(RunnerTest, RunSchemesKeepsSchemeOrder)
@@ -154,9 +132,10 @@ TEST(RunnerTest, RunSchemesKeepsSchemeOrder)
     ExperimentRunner runner(runnerOpts(/*workers=*/4));
     const auto results = runner.runSchemes(cfg, twoSchemes(), mix);
     ASSERT_EQ(results.size(), 2u);
-    expectSameRun(results[0],
-                  runScheme(cfg, SchemeSpec::snuca(), mix));
-    expectSameRun(results[1], runScheme(cfg, SchemeSpec::cdcs(), mix));
+    EXPECT_TRUE(sameSimulation(results[0],
+                               runScheme(cfg, SchemeSpec::snuca(), mix)));
+    EXPECT_TRUE(sameSimulation(results[1],
+                               runScheme(cfg, SchemeSpec::cdcs(), mix)));
 }
 
 TEST(RunnerTest, ForEachVisitsEveryIndexOnce)
